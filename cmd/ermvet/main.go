@@ -12,14 +12,15 @@
 //	go run ./cmd/ermvet -checks all -json ./...
 //	go run ./cmd/ermvet -sarif ./... > ermvet.sarif
 //	go run ./cmd/ermvet -timing ./...
-//	go run ./cmd/ermvet -update-wire
-//	go run ./cmd/ermvet -update-metrics
+//	go run ./cmd/ermvet -update
 //	go run ./cmd/ermvet -list
 //
 // Patterns are module-root-relative directories; a trailing /... matches
-// the subtree. Exit status is 1 when any finding survives suppression,
-// 2 when the module itself fails to load or type-check (or a flag is
-// invalid).
+// the subtree. -update regenerates the golden manifest (wire shapes and
+// metric names) and refuses a wire-shape change whose version constant
+// was not bumped. Exit status is 1 when any finding survives
+// suppression, 2 when the module itself fails to load or type-check, or
+// has no golden manifest (or a flag is invalid).
 package main
 
 import (
@@ -39,11 +40,10 @@ func main() {
 	checkNames := flag.String("checks", "", "comma-separated subset of checks to run, or \"all\" (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as newline-delimited JSON, including suppressed ones")
 	sarifOut := flag.Bool("sarif", false, "emit findings as one SARIF 2.1.0 document, including suppressed ones")
-	updateWire := flag.Bool("update-wire", false, "regenerate the golden wire-shape manifest and exit")
-	updateMetrics := flag.Bool("update-metrics", false, "regenerate the golden metric-name manifest and exit")
+	update := flag.Bool("update", false, "regenerate the golden manifest (wire shapes and metric names) and exit")
 	timing := flag.Bool("timing", false, "report per-check wall time (stderr table; timing records in -json; run properties in -sarif)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ermvet [-list] [-checks name,...] [-json|-sarif] [-timing] [-update-wire] [-update-metrics] [pattern ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ermvet [-list] [-checks name,...] [-json|-sarif] [-timing] [-update] [pattern ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,58 +66,30 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	pkgs, err := analysis.LoadModule(root)
+	mod, err := analysis.LoadModule(root)
 	if err != nil {
 		fail(err)
 	}
 
-	manifestPath := filepath.Join(root, filepath.FromSlash(analysis.WireManifestPath))
-	if *updateWire {
-		if err := regenerateWireManifest(manifestPath, pkgs); err != nil {
+	if *update {
+		m, err := analysis.UpdateManifest(mod.Manifest, mod.Packages)
+		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("ermvet: wrote %s\n", analysis.WireManifestPath)
-		return
-	}
-	metricsPath := filepath.Join(root, filepath.FromSlash(analysis.MetricsManifestPath))
-	if *updateMetrics {
-		if err := analysis.UpdateMetricsManifest(pkgs).WriteMetricsManifest(metricsPath); err != nil {
+		if err := m.Write(filepath.Join(root, filepath.FromSlash(analysis.ManifestPath))); err != nil {
 			fail(err)
 		}
-		fmt.Printf("ermvet: wrote %s\n", analysis.MetricsManifestPath)
+		fmt.Printf("ermvet: wrote %s\n", analysis.ManifestPath)
 		return
 	}
-
-	// The golden manifests, the module call graph, the route table and
-	// the lock-order analysis are shared context: the per-package passes
-	// gate against module-wide state computed once here. A missing
-	// manifest is an error when its check was selected — running the
-	// gate without its golden file would silently pass.
-	opts := &analysis.Options{Graph: analysis.BuildCallGraph(pkgs)}
-	if checksInclude(checks, "wiredrift") {
-		manifest, err := analysis.LoadWireManifest(manifestPath)
-		if err != nil {
-			fail(fmt.Errorf("%w (generate it with ermvet -update-wire)", err))
-		}
-		opts.Wire = manifest
-	}
-	if checksInclude(checks, "metricdrift") {
-		manifest, err := analysis.LoadMetricsManifest(metricsPath)
-		if err != nil {
-			fail(fmt.Errorf("%w (generate it with ermvet -update-metrics)", err))
-		}
-		opts.Metrics = manifest
-	}
-	if checksInclude(checks, "httpcontract") {
-		opts.Routes = analysis.CollectRoutes(pkgs)
-	}
-	if checksInclude(checks, "lockorder") {
-		opts.Locks = analysis.BuildLockOrder(pkgs, opts.Graph)
+	// Gating against a missing golden manifest would silently pass.
+	if mod.Manifest == nil {
+		fail(fmt.Errorf("no golden manifest at %s (generate it with ermvet -update)", analysis.ManifestPath))
 	}
 	var timings map[string]time.Duration
 	if *timing {
 		timings = make(map[string]time.Duration)
-		opts.Timing = func(check string, d time.Duration) { timings[check] += d }
+		mod.Timing = func(check string, d time.Duration) { timings[check] += d }
 	}
 
 	patterns := flag.Args()
@@ -130,7 +102,7 @@ func main() {
 	// collected across packages and written once; NDJSON streams
 	// per package.
 	var sarifDiags []analysis.Diagnostic
-	for _, pkg := range pkgs {
+	for _, pkg := range mod.Packages {
 		rel, err := filepath.Rel(root, pkg.Dir)
 		if err != nil {
 			fail(err)
@@ -138,7 +110,7 @@ func main() {
 		if !matchAny(patterns, filepath.ToSlash(rel)) {
 			continue
 		}
-		diags := analysis.RunAll(pkg, checks, opts)
+		diags := mod.Run(pkg, checks)
 		for i := range diags {
 			diags[i].Pos.Filename = relTo(root, diags[i].Pos.Filename)
 		}
@@ -161,7 +133,7 @@ func main() {
 		}
 	}
 	if *sarifOut {
-		if err := analysis.WriteSARIFWith(os.Stdout, sarifDiags, timings); err != nil {
+		if err := analysis.WriteSARIF(os.Stdout, sarifDiags, timings); err != nil {
 			fail(err)
 		}
 	}
@@ -202,34 +174,6 @@ func printTimings(timings map[string]time.Duration) {
 	for _, name := range names {
 		fmt.Fprintf(os.Stderr, "  %-12s %8.1fms\n", name, float64(timings[name].Microseconds())/1000)
 	}
-}
-
-// regenerateWireManifest rewrites the golden manifest from the live
-// shapes. An existing manifest constrains the update: a shape change
-// without a version bump is refused, so the manifest can never be
-// regenerated into silently blessing a format break.
-func regenerateWireManifest(path string, pkgs []*analysis.Package) error {
-	var old *analysis.WireManifest
-	if _, err := os.Stat(path); err == nil {
-		old, err = analysis.LoadWireManifest(path)
-		if err != nil {
-			return err
-		}
-	}
-	m, err := analysis.UpdateWireManifest(old, pkgs)
-	if err != nil {
-		return err
-	}
-	return m.WriteWireManifest(path)
-}
-
-func checksInclude(checks []*analysis.Check, name string) bool {
-	for _, c := range checks {
-		if c.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // selectChecks resolves the -checks flag; an empty flag or "all"

@@ -105,27 +105,14 @@ var AllocBudget = &Check{
 }
 
 func runAllocBudget(pass *Pass) {
-	graph := pass.Opts.Graph
-	if graph == nil {
-		graph = BuildCallGraph([]*Package{pass.Package})
-	}
-	budget := hotpathBudget(graph)
 	for _, f := range pass.Files {
 		validateHotpathDirectives(pass, f)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if root, ok := budget[fn]; ok {
-				scanAllocs(pass, fd, fn, root)
-			}
-		}
 	}
+	forEachFunc(pass.Package, func(fd *ast.FuncDecl, fn *types.Func) {
+		if root, ok := pass.Module.budget[fn]; ok {
+			scanAllocs(pass, fd, fn, root)
+		}
+	})
 }
 
 // validateHotpathDirectives reports misuse of the hotpath/coldpath
@@ -175,10 +162,10 @@ func validateHotpathDirectives(pass *Pass, f *ast.File) {
 	}
 }
 
-// hotpathBudget computes the allocation budget: every function reached
-// from a //ermvet:hotpath root over direct call edges, pruned at
-// //ermvet:coldpath functions, mapped to the root that first reaches it
-// (roots in deterministic order) for finding attribution.
+// hotpathBudget computes the allocation budget once per module: every
+// function reached from a //ermvet:hotpath root over direct call edges,
+// pruned at //ermvet:coldpath functions, mapped to the root that first
+// reaches it (roots in deterministic order) for finding attribution.
 func hotpathBudget(g *CallGraph) map[*types.Func]*types.Func {
 	var roots []*types.Func
 	cold := make(map[*types.Func]bool)
@@ -229,9 +216,9 @@ func hotpathBudget(g *CallGraph) map[*types.Func]*types.Func {
 func scanAllocs(pass *Pass, fd *ast.FuncDecl, fn, root *types.Func) {
 	var why string
 	if fn == root {
-		why = "in //ermvet:hotpath function " + funcDisplayName(fn)
+		why = "in //ermvet:hotpath function " + funcDisplay(fn)
 	} else {
-		why = "in " + funcDisplayName(fn) + ", reachable from //ermvet:hotpath root " + funcDisplayName(root)
+		why = "in " + funcDisplay(fn) + ", reachable from //ermvet:hotpath root " + funcDisplay(root)
 	}
 	s := &allocScan{
 		pass:      pass,
@@ -542,22 +529,4 @@ func isSyncOnceDo(fn *types.Func) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() != nil
-}
-
-// funcDisplayName renders fn compactly: receiver-qualified without the
-// package path, matching the declName inventory format.
-func funcDisplayName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		ptr := ""
-		if p, okp := t.(*types.Pointer); okp {
-			t = p.Elem()
-			ptr = "*"
-		}
-		if named, okn := t.(*types.Named); okn {
-			return "(" + ptr + named.Obj().Name() + ")." + fn.Name()
-		}
-	}
-	return fn.Name()
 }

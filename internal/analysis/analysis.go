@@ -10,19 +10,28 @@
 //   - maporder: iterating a map must not feed ordered output (a slice
 //     that is never sorted, or direct writes) — Go randomizes map order.
 //   - guardedby: struct fields annotated "guarded by <mu>" are only
-//     accessed in functions that lock <mu> on the same receiver.
+//     accessed in functions that lock <mu> on the same receiver, and a
+//     field accessed through sync/atomic is never also accessed plainly
+//     outside that guard.
 //   - floateq: no ==/!= on floating-point operands in the measure/loss
 //     packages (exact-zero sentinel tests excepted).
 //   - ctxcancel: exported blocking entry points of the serving and
 //     repair layers accept and honor a cancellation hook.
 //
 // Later layers grow the reach: flow-sensitive per-function dataflow
-// (lockflow, goroleak, errdrop), interprocedural budgets and lifetimes
-// (allocbudget, bodyclose), and finally whole-module contract gates —
-// lockorder (cross-package lock-acquisition order and blocking-under-
-// mutex), httpcontract (client routes must resolve against registered
-// handlers), and metricdrift (the exported metric-name surface is
-// pinned by a golden manifest). See each check's doc.
+// (goroleak, errdrop), interprocedural budgets and lifetimes
+// (allocbudget, bodyclose), and whole-module contract gates — lockorder
+// (one lockset dataflow per function, propagated through the call graph
+// into a cross-package lock-acquisition order), httpcontract (client
+// routes must resolve against registered handlers), and wiredrift (wire
+// shapes and metric names are pinned by a golden manifest). See each
+// check's doc.
+//
+// Every check runs over a Module: the loaded packages plus the facts
+// that span them — call graph, route table, lock analysis, hot-path
+// budget, resolved guard annotations and golden manifest — each built
+// once with the module, so a check sees the same context whether it
+// runs alone or with the others.
 //
 // A finding the code is genuinely entitled to is silenced in place with
 //
@@ -37,7 +46,10 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -45,11 +57,11 @@ import (
 
 // Diagnostic is one finding, resolved to a file position. Suppressed
 // marks findings silenced by a well-formed //ermvet:ignore directive;
-// Run drops them, RunAll keeps them (the -json CI feed reports
-// suppressions so a PR annotator can show the written-down decisions
-// alongside the live findings). Reason carries the directive's
-// mandatory rationale for suppressed findings, so reporting surfaces
-// can show the decision, not just that one was made.
+// Run keeps them so reporting surfaces (the -json CI feed, SARIF) can
+// show the written-down decisions alongside the live findings. Reason
+// carries the directive's mandatory rationale for suppressed findings,
+// so reporting surfaces can show the decision, not just that one was
+// made.
 type Diagnostic struct {
 	Check      string
 	Pos        token.Position
@@ -71,69 +83,76 @@ type Check struct {
 }
 
 // AllChecks is the full pass list, in reporting-name order. The
-// syntactic / function-granular v1 checks came first; lockflow,
-// goroleak, errdrop and wiredrift are the flow-sensitive v2 layer built
-// on the CFG and call graph (cfg.go, callgraph.go); allocbudget,
-// atomicmix and bodyclose are the v3 layer, which adds interprocedural
-// allocation budgets, atomics-consistency and resource-lifetime
-// dataflow on the same substrate; httpcontract, lockorder and
-// metricdrift are the v4 layer, which lifts the analysis from single
-// functions and packages to whole-module contracts: the HTTP protocol
-// between the serving roles, the module-wide lock-acquisition order,
-// and the exported metric-name surface.
-var AllChecks = []*Check{AllocBudget, AtomicMix, BodyClose, CtxCancel, DetRand, ErrDrop, FloatEq, GoroLeak, GuardedBy, HTTPContract, LockFlow, LockOrder, MapOrder, MetricDrift, WireDrift}
+// syntactic / function-granular v1 checks came first; goroleak, errdrop
+// and wiredrift are the flow-sensitive v2 layer built on the CFG and
+// call graph (cfg.go, callgraph.go); allocbudget and bodyclose are the
+// v3 layer, which adds interprocedural allocation budgets and
+// resource-lifetime dataflow on the same substrate; httpcontract and
+// lockorder are the v4 layer, which lifts the analysis from single
+// functions and packages to whole-module contracts.
+var AllChecks = []*Check{AllocBudget, BodyClose, CtxCancel, DetRand, ErrDrop, FloatEq, GoroLeak, GuardedBy, HTTPContract, LockOrder, MapOrder, WireDrift}
 
-// Options carries the module-level context some checks need beyond the
-// single package a Pass hands them. A nil *Options behaves like the
-// zero value.
-type Options struct {
-	// Wire is the golden wire-shape manifest the wiredrift check gates
-	// against. When nil, wiredrift runs its structural rules only
-	// (marker on a non-struct, missing version constant) and skips the
-	// shape comparison.
-	Wire *WireManifest
-	// Graph is the module call graph goroleak resolves `go f()`
-	// spawns through. When nil, a per-package graph is built on demand.
+// Module is the context every check runs in: the loaded packages plus
+// the module-wide facts the checks gate against, each computed once
+// when the module is built. LoadModule builds it for the CLI and the
+// module-wide tests and LoadDir for one fixture package, both through
+// newModule, so fixtures exercise the CLI's code path. A test that
+// gates against a different manifest or route table copies the value
+// and replaces the exported field.
+type Module struct {
+	Packages []*Package
+	// Graph is the module call graph goroleak, allocbudget and
+	// lockorder resolve calls through.
 	Graph *CallGraph
-	// Metrics is the golden metric-name manifest the metricdrift check
-	// gates against. When nil, metricdrift is a no-op: there is nothing
-	// to gate.
-	Metrics *MetricsManifest
-	// Routes is the module-wide registered-route table httpcontract
-	// resolves client call sites against. When nil, a per-package table
-	// is built on demand (fixtures register and call in one package).
+	// Routes is the registered-route table httpcontract resolves client
+	// call sites against.
 	Routes *RouteTable
-	// Locks is the module-wide lock-order analysis lockorder reports
-	// from. When nil, it is computed over the single pass package.
-	Locks *LockOrderInfo
+	// Manifest is the golden manifest wiredrift gates against and
+	// httpcontract resolves other packages' wire structs through. When
+	// nil, wiredrift runs its structural rules only (marker on a
+	// non-struct, missing version constant).
+	Manifest *Manifest
 	// Timing, when set, receives each check's wall-clock duration after
 	// it runs over a package.
 	Timing func(check string, d time.Duration)
+
+	// guards holds the resolved "guarded by" annotations guardedby and
+	// lockorder share.
+	guards guards
+	// locks holds lockorder's findings by package.
+	locks map[*Package][]finding
+	// budget maps every function in the allocation budget to the
+	// //ermvet:hotpath root that first reaches it.
+	budget map[*types.Func]*types.Func
 }
 
-func (o *Options) orZero() *Options {
-	if o == nil {
-		return &Options{}
-	}
-	return o
+// finding is a module-wide fact's finding, reported by the pass over
+// the package that owns it.
+type finding struct {
+	pos token.Pos
+	msg string
 }
 
-// knownCheck also admits the meta-check name used for malformed
-// directives, so an ignore can never target a check that does not exist.
-func knownCheck(name string) bool {
-	for _, c := range AllChecks {
-		if c.Name == name {
-			return true
-		}
+// newModule computes the module-wide facts over pkgs, which must share
+// one FileSet.
+func newModule(pkgs []*Package, manifest *Manifest) *Module {
+	m := &Module{
+		Packages: pkgs,
+		Graph:    buildCallGraph(pkgs),
+		Routes:   collectRoutes(pkgs),
+		Manifest: manifest,
+		guards:   resolveGuards(pkgs),
 	}
-	return false
+	m.locks = analyzeLocks(pkgs, m.Graph, m.guards.fields)
+	m.budget = hotpathBudget(m.Graph)
+	return m
 }
 
 // Pass hands one package to one check.
 type Pass struct {
 	*Package
+	Module *Module
 	Check  string
-	Opts   *Options
 	report func(Diagnostic)
 }
 
@@ -146,67 +165,42 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportAt records a finding at an already-resolved position. The
-// module-wide checks compute findings across packages and hand each one
-// to the pass that owns the file, where token.Pos values from other
-// passes' resolution would be meaningless.
-func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	p.report(Diagnostic{
-		Check:   p.Check,
-		Pos:     pos,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// Run applies the checks to one package, drops findings suppressed by a
-// well-formed //ermvet:ignore directive, and returns the survivors —
-// including one "ermvet" diagnostic per malformed directive, which is
-// itself unsuppressable — sorted by position.
-func Run(pkg *Package, checks []*Check) []Diagnostic {
-	return RunOpts(pkg, checks, nil)
-}
-
-// RunOpts is Run with module-level options.
-func RunOpts(pkg *Package, checks []*Check, opts *Options) []Diagnostic {
-	all := RunAll(pkg, checks, opts)
-	kept := all[:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
+// reportAll records module-wide findings owned by the pass's package.
+func (p *Pass) reportAll(fs []finding) {
+	for _, f := range fs {
+		p.Reportf(f.pos, "%s", f.msg)
 	}
-	return kept
 }
 
-// RunAll is RunOpts without the suppression filter: silenced findings
-// come back with Suppressed set instead of being dropped, so reporting
-// surfaces (ermvet -json) can show every decision the directives
-// encode. Malformed directives are still unsuppressable "ermvet"
-// findings. The result is sorted by position.
-func RunAll(pkg *Package, checks []*Check, opts *Options) []Diagnostic {
+// Run applies the checks to pkg, one of the module's packages, and
+// returns every finding sorted by position. Findings silenced by a
+// well-formed //ermvet:ignore directive come back with Suppressed and
+// Reason set; each malformed directive is an unsuppressable "ermvet"
+// finding.
+func (m *Module) Run(pkg *Package, checks []*Check) []Diagnostic {
 	var diags []Diagnostic
 	for _, c := range checks {
 		pass := &Pass{
 			Package: pkg,
+			Module:  m,
 			Check:   c.Name,
-			Opts:    opts.orZero(),
 			report:  func(d Diagnostic) { diags = append(diags, d) },
 		}
 		start := time.Now()
 		c.Run(pass)
-		if t := pass.Opts.Timing; t != nil {
-			t(c.Name, time.Since(start))
+		if m.Timing != nil {
+			m.Timing(c.Name, time.Since(start))
 		}
 	}
 
 	ign, bad := ignoreDirectives(pkg)
 	for i, d := range diags {
-		if reason, ok := ign[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Check}]; ok {
-			diags[i].Suppressed = true
-			diags[i].Reason = reason
-		} else if reason, ok := ign[ignoreKey{d.Pos.Filename, d.Pos.Line - 1, d.Check}]; ok {
-			diags[i].Suppressed = true
-			diags[i].Reason = reason
+		for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
+			if reason, ok := ign[ignoreKey{d.Pos.Filename, line, d.Check}]; ok {
+				diags[i].Suppressed = true
+				diags[i].Reason = reason
+				break
+			}
 		}
 	}
 	diags = append(diags, bad...)
@@ -222,7 +216,10 @@ func RunAll(pkg *Package, checks []*Check, opts *Options) []Diagnostic {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Check < b.Check
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
 	})
 	return diags
 }
@@ -253,7 +250,7 @@ func ignoreDirectives(pkg *Package) (map[ignoreKey]string, []Diagnostic) {
 				pos := pkg.Fset.Position(c.Pos())
 				fields := strings.Fields(rest)
 				switch {
-				case len(fields) == 0 || !knownCheck(fields[0]):
+				case len(fields) == 0 || !slices.ContainsFunc(AllChecks, func(k *Check) bool { return k.Name == fields[0] }):
 					bad = append(bad, Diagnostic{
 						Check: "ermvet", Pos: pos,
 						Message: fmt.Sprintf("malformed ignore directive: want %q with a known check name", ignorePrefix+" <check> <reason>"),
@@ -270,4 +267,88 @@ func ignoreDirectives(pkg *Package) (map[ignoreKey]string, []Diagnostic) {
 		}
 	}
 	return ign, bad
+}
+
+// forEachFunc visits every function declaration with a body in pkg,
+// with its object.
+func forEachFunc(pkg *Package, visit func(fd *ast.FuncDecl, fn *types.Func)) {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				visit(fd, fn)
+			}
+		}
+	}
+}
+
+// forEachFuncLit visits every function literal under body, including
+// literals nested in other literals.
+func forEachFuncLit(body *ast.BlockStmt, visit func(*ast.FuncLit)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			visit(lit)
+		}
+		return true
+	})
+}
+
+// isNamed reports whether t is a named type declared in package path,
+// with one of the given names (any name, when none are given).
+func isNamed(t types.Type, path string, names ...string) bool {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != path {
+		return false
+	}
+	return len(names) == 0 || slices.Contains(names, named.Obj().Name())
+}
+
+// deref strips one level of pointer.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+func isMutex(t types.Type) bool { return isNamed(deref(t), "sync", "Mutex", "RWMutex") }
+
+// fieldVarOf resolves sel to the struct field it selects, or nil when
+// sel is not a field selection.
+func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return nil
+	}
+	v, _ := s.Obj().(*types.Var)
+	return v
+}
+
+// recvNamed returns the named type of fn's receiver and whether the
+// receiver is a pointer, or nil for functions and unnamed receivers.
+func recvNamed(fn *types.Func) (*types.Named, bool) {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil, false
+	}
+	_, ptr := sig.Recv().Type().(*types.Pointer)
+	named, _ := deref(sig.Recv().Type()).(*types.Named)
+	return named, ptr
+}
+
+// funcDisplay renders fn compactly, receiver-qualified without the
+// package path: "(*Server).handleRepair", matching the declName
+// inventory format.
+func funcDisplay(fn *types.Func) string {
+	named, ptr := recvNamed(fn)
+	switch {
+	case named == nil:
+		return fn.Name()
+	case ptr:
+		return "(*" + named.Obj().Name() + ")." + fn.Name()
+	}
+	return "(" + named.Obj().Name() + ")." + fn.Name()
 }

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"erminer/internal/analysis"
@@ -20,17 +21,78 @@ type expectation struct {
 	hit  bool
 }
 
+var (
+	moduleOnce sync.Once
+	module     *analysis.Module
+	moduleErr  error
+)
+
+// loadedModule returns the whole module, loaded once per test binary
+// and shared read-only: type-checking it from source is the expensive
+// step of every module-wide test. A test that gates against a different
+// manifest or route table copies the value and replaces that field.
+func loadedModule(t *testing.T) *analysis.Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	moduleOnce.Do(func() { module, moduleErr = analysis.LoadModule(filepath.Join("..", "..")) })
+	if moduleErr != nil {
+		t.Fatalf("LoadModule: %v", moduleErr)
+	}
+	return module
+}
+
+// modulePackage returns the loaded package with the given import path.
+func modulePackage(t *testing.T, mod *analysis.Module, path string) *analysis.Package {
+	t.Helper()
+	for _, pkg := range mod.Packages {
+		if pkg.Path == path {
+			return pkg
+		}
+	}
+	t.Fatalf("module has no %s package", path)
+	return nil
+}
+
+// loadFixture builds the one-package module of a fixture directory
+// under testdata/src.
+func loadFixture(t *testing.T, dir string) *analysis.Module {
+	t.Helper()
+	path := filepath.Join("testdata", "src", filepath.FromSlash(dir))
+	mod, err := analysis.LoadDir(path, "fixture/"+dir)
+	if err != nil {
+		t.Fatalf("LoadDir(%s): %v", path, err)
+	}
+	return mod
+}
+
+// live runs the checks over one package and drops the findings a
+// well-formed //ermvet:ignore directive silenced.
+func live(mod *analysis.Module, pkg *analysis.Package, checks ...*analysis.Check) []analysis.Diagnostic {
+	var kept []analysis.Diagnostic
+	for _, d := range mod.Run(pkg, checks) {
+		if !d.Suppressed {
+			kept = append(kept, d)
+		}
+	}
+	return kept
+}
+
 // TestChecks runs each check against its fixture packages and compares
 // the diagnostics against the fixtures' want-expectations in both
 // directions: a diagnostic with no matching want fails, and a want with
 // no matching diagnostic fails. Every check has at least one firing and
 // one non-firing fixture, and every fixture carries a suppressed case,
-// so the //ermvet:ignore path is exercised throughout.
+// so the //ermvet:ignore path is exercised throughout. A fixture
+// directory is named after the rule family it exercises: lockflow's
+// per-path rules now belong to lockorder, atomicmix's to guardedby and
+// metricdrift's to wiredrift.
 func TestChecks(t *testing.T) {
 	cases := []struct {
-		dir   string
-		check *analysis.Check
-		opts  *analysis.Options
+		dir      string
+		check    *analysis.Check
+		manifest *analysis.Manifest
 	}{
 		{dir: "detrand/measure", check: analysis.DetRand},
 		{dir: "detrand/other", check: analysis.DetRand},
@@ -43,8 +105,8 @@ func TestChecks(t *testing.T) {
 		{dir: "allocbudget/a", check: analysis.AllocBudget},
 		{dir: "bodyclose/cluster", check: analysis.BodyClose},
 		{dir: "bodyclose/other", check: analysis.BodyClose},
-		{dir: "atomicmix/a", check: analysis.AtomicMix},
-		{dir: "lockflow/a", check: analysis.LockFlow},
+		{dir: "atomicmix/a", check: analysis.GuardedBy},
+		{dir: "lockflow/a", check: analysis.LockOrder},
 		{dir: "goroleak/serve", check: analysis.GoroLeak},
 		{dir: "goroleak/other", check: analysis.GoroLeak},
 		{dir: "errdrop/a", check: analysis.ErrDrop},
@@ -52,22 +114,20 @@ func TestChecks(t *testing.T) {
 		{dir: "lockorder/a", check: analysis.LockOrder},
 		{dir: "httpcontract/cluster", check: analysis.HTTPContract},
 		{dir: "httpcontract/other", check: analysis.HTTPContract},
-		{dir: "metricdrift/serve", check: analysis.MetricDrift, opts: &analysis.Options{
-			Metrics: &analysis.MetricsManifest{Metrics: map[string]string{
+		{dir: "metricdrift/serve", check: analysis.WireDrift, manifest: &analysis.Manifest{
+			Metrics: map[string]string{
 				"erminerd_known_total":   "serve",
 				"erminerd_dropped_total": "serve",
-			}},
+			},
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.dir, "/", "_"), func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", filepath.FromSlash(tc.dir))
-			pkg, err := analysis.LoadDir(dir, "fixture/"+tc.dir)
-			if err != nil {
-				t.Fatalf("LoadDir(%s): %v", dir, err)
-			}
+			mod := loadFixture(t, tc.dir)
+			mod.Manifest = tc.manifest
+			pkg := mod.Packages[0]
 			wants := parseWants(t, pkg)
-			for _, d := range analysis.RunOpts(pkg, []*analysis.Check{tc.check}, tc.opts) {
+			for _, d := range live(mod, pkg, tc.check) {
 				if !claim(wants, d.Pos.Filename, d.Pos.Line, d.Message) {
 					t.Errorf("unexpected diagnostic: %s", d)
 				}
@@ -120,19 +180,15 @@ func claim(wants []*expectation, file string, line int, msg string) bool {
 // unknown check both surface as unsuppressable "ermvet" findings, and
 // the reasonless one does not silence the maporder finding under it.
 func TestMalformedIgnores(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "ignore", "bad")
-	pkg, err := analysis.LoadDir(dir, "fixture/ignore/bad")
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
-	}
-	file := filepath.Join(dir, "bad.go")
+	mod := loadFixture(t, "ignore/bad")
+	file := filepath.Join("testdata", "src", "ignore", "bad", "bad.go")
 	want := []string{
 		file + `:8:3: [ermvet] ignore directive for "maporder" is missing its reason: every suppression must say why`,
 		file + ":9:3: [maporder] map iteration appends to out, which is never sorted afterwards in this block; map order is random — sort it (with a total tie-break) or restructure",
 		file + `:14:1: [ermvet] malformed ignore directive: want "//ermvet:ignore <check> <reason>" with a known check name`,
 	}
 	var got []string
-	for _, d := range analysis.Run(pkg, analysis.AllChecks) {
+	for _, d := range live(mod, mod.Packages[0], analysis.AllChecks...) {
 		got = append(got, d.String())
 	}
 	if len(got) != len(want) {
@@ -150,49 +206,43 @@ func TestMalformedIgnores(t *testing.T) {
 // test suite, so `go test ./...` — not only scripts/check.sh — fails
 // the moment a determinism or locking invariant regresses (for example,
 // deleting the sort after a map-range in an annotated package). It runs
-// with the same module-level context the CLI uses: the golden wire
-// manifest and the cross-package call graph.
+// over the same Module the CLI builds: golden manifest, cross-package
+// call graph, route table and lock analysis included.
 func TestModuleClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
-	root := filepath.Join("..", "..")
-	pkgs, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	manifest, err := analysis.LoadWireManifest(filepath.Join(root, filepath.FromSlash(analysis.WireManifestPath)))
-	if err != nil {
-		t.Fatalf("LoadWireManifest: %v", err)
-	}
-	metrics, err := analysis.LoadMetricsManifest(filepath.Join(root, filepath.FromSlash(analysis.MetricsManifestPath)))
-	if err != nil {
-		t.Fatalf("LoadMetricsManifest: %v", err)
-	}
-	graph := analysis.BuildCallGraph(pkgs)
-	opts := &analysis.Options{
-		Wire:    manifest,
-		Graph:   graph,
-		Metrics: metrics,
-		Routes:  analysis.CollectRoutes(pkgs),
-		Locks:   analysis.BuildLockOrder(pkgs, graph),
-	}
-	for _, pkg := range pkgs {
-		for _, d := range analysis.RunOpts(pkg, analysis.AllChecks, opts) {
+	mod := loadedModule(t)
+	for _, pkg := range mod.Packages {
+		for _, d := range live(mod, pkg, analysis.AllChecks...) {
 			t.Errorf("%s", d)
 		}
 	}
 }
 
-// TestCheckInventory pins the pass list: fifteen checks, in
+// TestEachCheckAloneClean runs every check on its own over the module.
+// The module-wide context is built with the module, not per selected
+// check, so a check must be as clean alone as in the full set — the
+// golden manifest was once loaded only when wiredrift was selected,
+// and httpcontract alone then misreported every serve payload struct
+// the cluster handlers decode.
+func TestEachCheckAloneClean(t *testing.T) {
+	mod := loadedModule(t)
+	for _, c := range analysis.AllChecks {
+		for _, pkg := range mod.Packages {
+			for _, d := range live(mod, pkg, c) {
+				t.Errorf("-checks %s: %s", c.Name, d)
+			}
+		}
+	}
+}
+
+// TestCheckInventory pins the pass list: twelve checks, in
 // reporting-name order. Dropping a check from AllChecks would silently
 // shrink every gate built on it — the CLI, check.sh, TestModuleClean —
 // so the count and the names are fixed here.
 func TestCheckInventory(t *testing.T) {
 	want := []string{
-		"allocbudget", "atomicmix", "bodyclose", "ctxcancel", "detrand",
-		"errdrop", "floateq", "goroleak", "guardedby", "httpcontract",
-		"lockflow", "lockorder", "maporder", "metricdrift", "wiredrift",
+		"allocbudget", "bodyclose", "ctxcancel", "detrand", "errdrop",
+		"floateq", "goroleak", "guardedby", "httpcontract", "lockorder",
+		"maporder", "wiredrift",
 	}
 	var got []string
 	for _, c := range analysis.AllChecks {

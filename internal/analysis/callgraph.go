@@ -30,64 +30,49 @@ type CallGraph struct {
 	decls map[*types.Func]*ast.FuncDecl
 }
 
-// BuildCallGraph constructs the call graph of the given packages. The
+// buildCallGraph constructs the call graph of the given packages. The
 // graph spans all of them: a call from internal/serve into
 // internal/rlminer is an edge when both packages are in pkgs.
-func BuildCallGraph(pkgs []*Package) *CallGraph {
+func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		callees: make(map[*types.Func][]*types.Func),
 		direct:  make(map[*types.Func][]*types.Func),
 		decls:   make(map[*types.Func]*ast.FuncDecl),
 	}
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				caller, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				g.decls[caller] = fd
-				// Calls lexically inside nested function literals count
-				// toward callees (full reachability) but not direct
-				// (closure-opaque reachability).
-				var lits []*ast.FuncLit
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						lits = append(lits, lit)
-					}
-					return true
-				})
-				inLit := func(pos token.Pos) bool {
-					for _, lit := range lits {
-						if lit.Body.Pos() <= pos && pos < lit.Body.End() {
-							return true
-						}
-					}
-					return false
-				}
-				set := make(map[*types.Func]bool)
-				directSet := make(map[*types.Func]bool)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
+		forEachFunc(pkg, func(fd *ast.FuncDecl, caller *types.Func) {
+			g.decls[caller] = fd
+			// Calls lexically inside nested function literals count
+			// toward callees (full reachability) but not direct
+			// (closure-opaque reachability).
+			var lits []*ast.FuncLit
+			forEachFuncLit(fd.Body, func(lit *ast.FuncLit) { lits = append(lits, lit) })
+			inLit := func(pos token.Pos) bool {
+				for _, lit := range lits {
+					if lit.Body.Pos() <= pos && pos < lit.Body.End() {
 						return true
 					}
-					if callee := StaticCallee(pkg.Info, call); callee != nil {
-						set[callee] = true
-						if !inLit(call.Pos()) {
-							directSet[callee] = true
-						}
-					}
-					return true
-				})
-				g.callees[caller] = sortedFuncs(set)
-				g.direct[caller] = sortedFuncs(directSet)
+				}
+				return false
 			}
-		}
+			set := make(map[*types.Func]bool)
+			directSet := make(map[*types.Func]bool)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if callee := StaticCallee(pkg.Info, call); callee != nil {
+					set[callee] = true
+					if !inLit(call.Pos()) {
+						directSet[callee] = true
+					}
+				}
+				return true
+			})
+			g.callees[caller] = sortedFuncs(set)
+			g.direct[caller] = sortedFuncs(directSet)
+		})
 	}
 	return g
 }

@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"go/types"
-	"path/filepath"
 	"testing"
 
 	"erminer/internal/analysis"
@@ -12,12 +11,8 @@ import (
 // and resolves the named functions.
 func loadCallgraphFixture(t *testing.T) (*analysis.CallGraph, map[string]*types.Func) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", "callgraph", "a")
-	pkg, err := analysis.LoadDir(dir, "fixture/callgraph/a")
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
-	}
-	graph := analysis.BuildCallGraph([]*analysis.Package{pkg})
+	mod := loadFixture(t, "callgraph/a")
+	pkg, graph := mod.Packages[0], mod.Graph
 
 	fns := make(map[string]*types.Func)
 	for _, name := range []string{"top", "mid", "iface", "island"} {

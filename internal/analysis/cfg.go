@@ -9,7 +9,7 @@ import (
 // intra-procedural control-flow graph over go/ast. It is deliberately
 // small — basic blocks of statements with successor edges, a synthetic
 // exit block, and a side list of deferred calls — because the checks
-// built on it (lockflow's lockset dataflow, primarily) need path
+// built on it (lockorder's lockset dataflow, primarily) need path
 // structure, not SSA. Nested function literals are opaque: their bodies
 // are separate flow units, analysed independently by the checks.
 //

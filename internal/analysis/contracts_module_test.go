@@ -9,44 +9,16 @@ import (
 	"erminer/internal/analysis"
 )
 
-// loadModuleContracts loads the whole module and returns the package
-// list plus a by-import-path lookup, for the v4 whole-module contract
-// gates (metricdrift, httpcontract, lockorder).
-func loadModuleContracts(t *testing.T) ([]*analysis.Package, func(string) *analysis.Package) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
-	root := filepath.Join("..", "..")
-	pkgs, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	return pkgs, func(path string) *analysis.Package {
-		for _, pkg := range pkgs {
-			if pkg.Path == path {
-				return pkg
-			}
-		}
-		t.Fatalf("module has no %s package", path)
-		return nil
-	}
-}
-
 // TestMetricManifestPinned requires the committed metric-name manifest
 // to match the live names exactly, in both directions — the same
-// comparison `ermvet -checks metricdrift` gates on, run from `go test`
+// comparison `ermvet -checks wiredrift` gates on, run from `go test`
 // so a metric rename cannot land without a reviewed manifest diff.
 func TestMetricManifestPinned(t *testing.T) {
-	pkgs, _ := loadModuleContracts(t)
-	manifest, err := analysis.LoadMetricsManifest(filepath.Join("..", "..", filepath.FromSlash(analysis.MetricsManifestPath)))
-	if err != nil {
-		t.Fatalf("LoadMetricsManifest: %v", err)
-	}
-	live := analysis.CollectMetricNames(pkgs)
-	if !reflect.DeepEqual(live, manifest.Metrics) {
-		t.Errorf("live metric names diverge from %s; review the change and run ermvet -update-metrics\nlive:     %v\nmanifest: %v",
-			analysis.MetricsManifestPath, live, manifest.Metrics)
+	mod := loadedModule(t)
+	names := analysis.CollectMetricNames(mod.Packages)
+	if !reflect.DeepEqual(names, mod.Manifest.Metrics) {
+		t.Errorf("live metric names diverge from %s; review the change and run ermvet -update\nlive:     %v\nmanifest: %v",
+			analysis.ManifestPath, names, mod.Manifest.Metrics)
 	}
 }
 
@@ -56,31 +28,31 @@ func TestMetricManifestPinned(t *testing.T) {
 // dropped metric. Either way the build fails — a name cannot change in
 // only one place.
 func TestMetricDriftGates(t *testing.T) {
-	_, byPath := loadModuleContracts(t)
-	servePkg := byPath("erminer/internal/serve")
-	manifest, err := analysis.LoadMetricsManifest(filepath.Join("..", "..", filepath.FromSlash(analysis.MetricsManifestPath)))
-	if err != nil {
-		t.Fatalf("LoadMetricsManifest: %v", err)
-	}
+	mod := loadedModule(t)
+	servePkg := modulePackage(t, mod, "erminer/internal/serve")
+	manifest := mod.Manifest
 
 	const victim = "erminerd_requests_total"
-	removed := &analysis.MetricsManifest{Metrics: make(map[string]string, len(manifest.Metrics))}
+	removed := &analysis.Manifest{Structs: manifest.Structs, Metrics: make(map[string]string, len(manifest.Metrics))}
 	for k, v := range manifest.Metrics {
 		if k != victim {
 			removed.Metrics[k] = v
 		}
 	}
-	diags := analysis.RunOpts(servePkg, []*analysis.Check{analysis.MetricDrift}, &analysis.Options{Metrics: removed})
+	gated := *mod
+	gated.Manifest = removed
+	diags := live(&gated, servePkg, analysis.WireDrift)
 	if !hasDiag(diags, victim, "is not in the golden manifest") {
 		t.Errorf("deleting %s from the manifest did not fail the gate; got %v", victim, diags)
 	}
 
-	added := &analysis.MetricsManifest{Metrics: make(map[string]string, len(manifest.Metrics)+1)}
+	added := &analysis.Manifest{Structs: manifest.Structs, Metrics: make(map[string]string, len(manifest.Metrics)+1)}
 	for k, v := range manifest.Metrics {
 		added.Metrics[k] = v
 	}
 	added.Metrics["erminerd_phantom_total"] = "serve"
-	diags = analysis.RunOpts(servePkg, []*analysis.Check{analysis.MetricDrift}, &analysis.Options{Metrics: added})
+	gated.Manifest = added
+	diags = live(&gated, servePkg, analysis.WireDrift)
 	if !hasDiag(diags, "erminerd_phantom_total", "is no longer emitted by package serve") {
 		t.Errorf("a manifest name with no live literal did not fail the gate; got %v", diags)
 	}
@@ -91,15 +63,9 @@ func TestMetricDriftGates(t *testing.T) {
 // whose rule-push path calls it: changing a client route string (or
 // dropping its handler) cannot land silently.
 func TestRouteContractGates(t *testing.T) {
-	pkgs, byPath := loadModuleContracts(t)
-	clusterPkg := byPath("erminer/internal/cluster")
-	full := analysis.CollectRoutes(pkgs)
-	// The wire manifest resolves the serve-side payload structs the
-	// cluster handlers hand to encoding/json.
-	wire, err := analysis.LoadWireManifest(filepath.Join("..", "..", filepath.FromSlash(analysis.WireManifestPath)))
-	if err != nil {
-		t.Fatalf("LoadWireManifest: %v", err)
-	}
+	mod := loadedModule(t)
+	clusterPkg := modulePackage(t, mod, "erminer/internal/cluster")
+	full := mod.Routes
 
 	const victim = "/v1/rules/stage"
 	mutated := &analysis.RouteTable{}
@@ -111,14 +77,18 @@ func TestRouteContractGates(t *testing.T) {
 	if len(mutated.Routes) == len(full.Routes) {
 		t.Fatalf("precondition: %s is not in the registered route table", victim)
 	}
-	diags := analysis.RunOpts(clusterPkg, []*analysis.Check{analysis.HTTPContract}, &analysis.Options{Routes: mutated, Wire: wire})
+	gated := *mod
+	gated.Routes = mutated
+	diags := live(&gated, clusterPkg, analysis.HTTPContract)
 	if !hasDiag(diags, victim, "no handler registers that path") {
 		t.Errorf("unregistering %s did not fail the cluster client; got %v", victim, diags)
 	}
 
 	// With the full table the cluster package is clean, so the finding
-	// above is attributable to the removal alone.
-	if diags := analysis.RunOpts(clusterPkg, []*analysis.Check{analysis.HTTPContract}, &analysis.Options{Routes: full, Wire: wire}); len(diags) != 0 {
+	// above is attributable to the removal alone. The module's golden
+	// manifest resolves the serve-side payload structs the cluster
+	// handlers hand to encoding/json.
+	if diags := live(mod, clusterPkg, analysis.HTTPContract); len(diags) != 0 {
 		t.Errorf("cluster is not httpcontract-clean against the full route table: %v", diags)
 	}
 }
@@ -130,12 +100,11 @@ func TestRouteContractGates(t *testing.T) {
 // the detection disappears, this fails — the findings are real and must
 // stay visible as documented decisions, not vanish.
 func TestLockOrderPushFindings(t *testing.T) {
-	pkgs, byPath := loadModuleContracts(t)
-	clusterPkg := byPath("erminer/internal/cluster")
-	locks := analysis.BuildLockOrder(pkgs, analysis.BuildCallGraph(pkgs))
+	mod := loadedModule(t)
+	clusterPkg := modulePackage(t, mod, "erminer/internal/cluster")
 
 	var got []analysis.Diagnostic
-	for _, d := range analysis.RunAll(clusterPkg, []*analysis.Check{analysis.LockOrder}, &analysis.Options{Locks: locks}) {
+	for _, d := range mod.Run(clusterPkg, []*analysis.Check{analysis.LockOrder}) {
 		if d.Check == "lockorder" {
 			got = append(got, d)
 		}

@@ -118,12 +118,7 @@ func isCancelType(t types.Type) bool {
 	if ch, ok := t.Underlying().(*types.Chan); ok {
 		return ch.Dir() == types.RecvOnly
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+	return isNamed(t, "context", "Context")
 }
 
 func usesObject(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {

@@ -109,20 +109,9 @@ func exemptCallee(pass *Pass, call *ast.CallExpr) bool {
 	}
 	// Methods of *bytes.Buffer and *strings.Builder.
 	if s := pass.Info.Selections[sel]; s != nil {
-		if fn, ok := s.Obj().(*types.Func); ok && fn.Pkg() != nil {
-			recv := fn.Type().(*types.Signature).Recv()
-			if recv != nil {
-				t := recv.Type()
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-				}
-				if named, ok := t.(*types.Named); ok {
-					full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-					if full == "bytes.Buffer" || full == "strings.Builder" {
-						return true
-					}
-				}
-			}
+		if fn, ok := s.Obj().(*types.Func); ok {
+			named, _ := recvNamed(fn)
+			return named != nil && (isNamed(named, "bytes", "Buffer") || isNamed(named, "strings", "Builder"))
 		}
 	}
 	return false

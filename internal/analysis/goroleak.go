@@ -36,10 +36,7 @@ func runGoroLeak(pass *Pass) {
 	if !goroleakPkgs[pass.Types.Name()] {
 		return
 	}
-	graph := pass.Opts.Graph
-	if graph == nil {
-		graph = BuildCallGraph([]*Package{pass.Package})
-	}
+	graph := pass.Module.Graph
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -128,7 +125,7 @@ func bodyHasJoinSignal(pass *Pass, body *ast.BlockStmt) bool {
 				}
 			case *ast.SelectorExpr:
 				if fun.Sel.Name == "Done" || fun.Sel.Name == "Wait" {
-					if tv, ok := pass.Info.Types[fun.X]; ok && isWaitGroup(tv.Type) {
+					if tv, ok := pass.Info.Types[fun.X]; ok && isNamed(deref(tv.Type), "sync", "WaitGroup") {
 						found = true
 					}
 				}
@@ -137,16 +134,4 @@ func bodyHasJoinSignal(pass *Pass, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-func isWaitGroup(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }

@@ -77,16 +77,7 @@ func muxHandleFunc(pkg *Package, call *ast.CallExpr) bool {
 		return false
 	}
 	tv, ok := pkg.Info.Types[sel.X]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "net/http" && named.Obj().Name() == "ServeMux"
+	return ok && isNamed(deref(tv.Type), "net/http", "ServeMux")
 }
 
 // parsePattern splits a Go 1.22 ServeMux pattern into method and path.
@@ -97,10 +88,10 @@ func parsePattern(pat string) (method, path string) {
 	return "", pat
 }
 
-// CollectRoutes scrapes every constant HandleFunc registration in the
+// collectRoutes scrapes every constant HandleFunc registration in the
 // serving packages. Non-constant patterns are skipped here and reported
 // by the per-package run.
-func CollectRoutes(pkgs []*Package) *RouteTable {
+func collectRoutes(pkgs []*Package) *RouteTable {
 	table := &RouteTable{}
 	for _, pkg := range pkgs {
 		if !httpcontractPkgs[pkg.Types.Name()] {
@@ -239,12 +230,8 @@ func wireCheckJSONArg(pass *Pass, marked map[string]bool, arg ast.Expr) {
 		return
 	}
 	t := tv.Type
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
+	for t != deref(t) {
+		t = deref(t)
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
@@ -261,7 +248,7 @@ func wireCheckJSONArg(pass *Pass, marked map[string]bool, arg ast.Expr) {
 	if marked[key] {
 		return
 	}
-	if m := pass.Opts.Wire; m != nil {
+	if m := pass.Module.Manifest; m != nil {
 		if _, ok := m.Structs[key]; ok {
 			return
 		}
@@ -275,12 +262,9 @@ func runHTTPContract(pass *Pass) {
 	if !httpcontractPkgs[pass.Types.Name()] {
 		return
 	}
-	table := pass.Opts.Routes
-	if table == nil {
-		table = CollectRoutes([]*Package{pass.Package})
-	}
+	table := pass.Module.Routes
 	// Wire markers of the current package; cross-package shapes resolve
-	// through the manifest in Opts.Wire.
+	// through the module's golden manifest.
 	marked := make(map[string]bool)
 	for _, ws := range collectWireStructs(pass.Package) {
 		marked[pass.Path+"."+ws.name] = true

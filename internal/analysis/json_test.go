@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"go/token"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,7 +22,7 @@ func TestJSONFormat(t *testing.T) {
 			Message: `call to os.Remove drops its error result`,
 		},
 		{
-			Check:      "lockflow",
+			Check:      "lockorder",
 			Pos:        token.Position{Filename: "internal/serve/handlers.go", Line: 9, Column: 2},
 			Message:    "s.mu is still locked when f returns on this path",
 			Suppressed: true,
@@ -41,7 +40,7 @@ func TestJSONFormat(t *testing.T) {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	want := `{"check":"errdrop","file":"internal/serve/checkpoint.go","line":54,"col":8,"message":"call to os.Remove drops its error result","suppressed":false}
-{"check":"lockflow","file":"internal/serve/handlers.go","line":9,"col":2,"message":"s.mu is still locked when f returns on this path","suppressed":true}
+{"check":"lockorder","file":"internal/serve/handlers.go","line":9,"col":2,"message":"s.mu is still locked when f returns on this path","suppressed":true}
 {"check":"allocbudget","file":"internal/measure/measure.go","line":12,"col":9,"message":"make allocates in //ermvet:hotpath function getCover","suppressed":true,"reason":"freelist miss: first use at this capacity"}
 `
 	if sb.String() != want {
@@ -69,22 +68,18 @@ func TestTimingJSONFormat(t *testing.T) {
 	}
 }
 
-// TestRunAllTiming pins the Options.Timing hook: one callback per check
+// TestRunTiming pins the Module.Timing hook: one callback per check
 // per package, under the check's reporting name.
-func TestRunAllTiming(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "maporder", "a")
-	pkg, err := analysis.LoadDir(dir, "fixture/maporder/a")
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
-	}
+func TestRunTiming(t *testing.T) {
+	mod := loadFixture(t, "maporder/a")
 	var calls []string
-	opts := &analysis.Options{Timing: func(check string, d time.Duration) {
+	mod.Timing = func(check string, d time.Duration) {
 		if d < 0 {
 			t.Errorf("negative duration for %s", check)
 		}
 		calls = append(calls, check)
-	}}
-	analysis.RunOpts(pkg, []*analysis.Check{analysis.MapOrder, analysis.DetRand}, opts)
+	}
+	mod.Run(mod.Packages[0], []*analysis.Check{analysis.MapOrder, analysis.DetRand})
 	if want := []string{"maporder", "detrand"}; !reflect.DeepEqual(calls, want) {
 		t.Errorf("timing callbacks = %v, want %v", calls, want)
 	}

@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,12 +39,14 @@ type pkgSrc struct {
 }
 
 // LoadModule parses and type-checks every non-test package of the Go
-// module rooted at root, in dependency order, and returns them sorted by
-// import path. Module-internal imports resolve to the packages loaded
-// here; standard-library imports are type-checked from GOROOT source via
-// importer.ForCompiler(..., "source", ...) — no module dependencies.
-// Parsing runs one goroutine per directory and type-checking runs
-// level-parallel over the dependency DAG, both bounded by GOMAXPROCS;
+// module rooted at root, in dependency order, reads the golden manifest
+// at ManifestPath when one exists, and builds the Module the checks run
+// over, packages sorted by import path. Module-internal imports resolve
+// to the packages loaded here; standard-library imports are
+// type-checked from GOROOT source via importer.ForCompiler(...,
+// "source", ...) — no module dependencies. Parsing runs one goroutine
+// per directory and type-checking runs level-parallel over the
+// dependency DAG, both bounded by GOMAXPROCS;
 // TestLoadModuleParallelDeterministic pins that the output — package
 // list, file lists and the full diagnostic stream — is identical run
 // to run regardless of scheduling.
@@ -52,7 +56,7 @@ type pkgSrc struct {
 // the checked invariants are properties of the library and serving
 // paths, and tests prove determinism by assertion instead (DESIGN.md
 // decision 13).
-func LoadModule(root string) ([]*Package, error) {
+func LoadModule(root string) (*Module, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -109,13 +113,22 @@ func LoadModule(root string) ([]*Package, error) {
 		return nil, err
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
+
+	manifest, err := loadManifest(filepath.Join(root, filepath.FromSlash(ManifestPath)))
+	if errors.Is(err, fs.ErrNotExist) {
+		manifest, err = nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newModule(pkgs, manifest), nil
 }
 
 // LoadDir parses and type-checks the single package in dir under the
-// given synthetic import path. Imports must resolve within the standard
-// library — this is the fixture loader for the analyzer's own tests.
-func LoadDir(dir, importPath string) (*Package, error) {
+// given synthetic import path and builds its one-package Module, with
+// no golden manifest. Imports must resolve within the standard library
+// — this is the fixture loader for the analyzer's own tests.
+func LoadDir(dir, importPath string) (*Module, error) {
 	fset := token.NewFileSet()
 	src, err := parseDir(fset, dir)
 	if err != nil {
@@ -129,7 +142,7 @@ func LoadDir(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pkgs[0], nil
+	return newModule(pkgs, nil), nil
 }
 
 // parallelism bounds the loader's worker pools.

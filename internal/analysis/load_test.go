@@ -20,21 +20,17 @@ func TestLoadModuleParallelDeterministic(t *testing.T) {
 	}
 	root := filepath.Join("..", "..")
 	load := func() ([]string, []string) {
-		pkgs, err := analysis.LoadModule(root)
+		mod, err := analysis.LoadModule(root)
 		if err != nil {
 			t.Fatalf("LoadModule: %v", err)
 		}
 		var shape, diags []string
-		opts := &analysis.Options{Graph: analysis.BuildCallGraph(pkgs)}
-		for _, pkg := range pkgs {
+		for _, pkg := range mod.Packages {
 			shape = append(shape, pkg.Path)
 			for _, f := range pkg.Files {
 				shape = append(shape, "  "+pkg.Fset.Position(f.Package).Filename)
 			}
-			// Wire is nil here, so wiredrift runs its structural rules
-			// only — enough to exercise every check's reporting order
-			// without depending on the golden manifest.
-			for _, d := range analysis.RunAll(pkg, analysis.AllChecks, opts) {
+			for _, d := range mod.Run(pkg, analysis.AllChecks) {
 				diags = append(diags, d.String())
 			}
 		}

@@ -106,18 +106,13 @@ func sarifRules() []sarifRule {
 	return rules
 }
 
-// WriteSARIF renders diagnostics as one SARIF 2.1.0 document. File
-// paths are emitted as given, normalized to forward slashes; callers
-// wanting repository-relative URIs (as GitHub code scanning requires)
-// rewrite Pos.Filename before calling, exactly as with WriteJSON.
-func WriteSARIF(w io.Writer, diags []Diagnostic) error {
-	return WriteSARIFWith(w, diags, nil)
-}
-
-// WriteSARIFWith is WriteSARIF plus optional per-check timings, carried
-// in the run's property bag. A nil timings map produces a byte-for-byte
-// WriteSARIF document.
-func WriteSARIFWith(w io.Writer, diags []Diagnostic, timings map[string]time.Duration) error {
+// WriteSARIF renders diagnostics as one SARIF 2.1.0 document, with the
+// optional per-check timings carried in the run's property bag (a nil
+// or empty map emits no bag). File paths are emitted as given,
+// normalized to forward slashes; callers wanting repository-relative
+// URIs (as GitHub code scanning requires) rewrite Pos.Filename before
+// calling, exactly as with WriteJSON.
+func WriteSARIF(w io.Writer, diags []Diagnostic, timings map[string]time.Duration) error {
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		r := sarifResult{

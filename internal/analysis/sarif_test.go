@@ -33,7 +33,7 @@ func TestSARIFFormat(t *testing.T) {
 		},
 	}
 	var sb strings.Builder
-	if err := analysis.WriteSARIF(&sb, diags); err != nil {
+	if err := analysis.WriteSARIF(&sb, diags, nil); err != nil {
 		t.Fatalf("WriteSARIF: %v", err)
 	}
 
@@ -128,12 +128,12 @@ func TestSARIFFormat(t *testing.T) {
 
 // TestSARIFTimings pins the -timing run property: per-check wall time
 // lands in the run's property bag without touching the pinned result
-// format (WriteSARIF delegates with nil timings and emits no bag).
+// format (nil timings emit no bag).
 func TestSARIFTimings(t *testing.T) {
 	var sb strings.Builder
-	err := analysis.WriteSARIFWith(&sb, nil, map[string]time.Duration{"lockorder": 2 * time.Millisecond})
+	err := analysis.WriteSARIF(&sb, nil, map[string]time.Duration{"lockorder": 2 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("WriteSARIFWith: %v", err)
+		t.Fatalf("WriteSARIF: %v", err)
 	}
 	var log struct {
 		Runs []struct {
@@ -150,7 +150,7 @@ func TestSARIFTimings(t *testing.T) {
 	}
 
 	var plain strings.Builder
-	if err := analysis.WriteSARIF(&plain, nil); err != nil {
+	if err := analysis.WriteSARIF(&plain, nil, nil); err != nil {
 		t.Fatalf("WriteSARIF: %v", err)
 	}
 	if strings.Contains(plain.String(), "properties") {

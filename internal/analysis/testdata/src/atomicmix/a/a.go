@@ -1,6 +1,6 @@
-// Package a is an atomicmix fixture: a field accessed via sync/atomic
-// must not also be accessed plainly — unless the plain access holds the
-// field's declared "guarded by" mutex (atomic readers, locked writers).
+// Package a is a guardedby fixture for the atomicmix rules: a field
+// accessed via sync/atomic must not also be accessed plainly — unless the
+// plain access holds its "guarded by" mutex (atomic readers, locked writers).
 package a
 
 import (
@@ -69,6 +69,6 @@ func (c *counter) okPlain() int64 {
 
 // seed resets raw before any reader starts; the race is documented.
 func (c *counter) seed() {
-	//ermvet:ignore atomicmix fixture exercising the suppression path
+	//ermvet:ignore guardedby fixture exercising the suppression path
 	c.raw = 0
 }

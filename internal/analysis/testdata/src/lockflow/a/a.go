@@ -1,4 +1,4 @@
-// Package a is a lockflow fixture.
+// Package a is a lockorder fixture for the per-path (lockflow) rules.
 package a
 
 import (
@@ -69,7 +69,7 @@ func (s *store) doubleLock() {
 func (s *store) suppressedLeak(fail bool) error {
 	s.mu.Lock()
 	if fail {
-		//ermvet:ignore lockflow fixture exercising the suppression path
+		//ermvet:ignore lockorder fixture exercising the suppression path
 		return errors.New("caller unlocks")
 	}
 	s.mu.Unlock()

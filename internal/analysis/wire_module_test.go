@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,32 +9,12 @@ import (
 
 const checkpointWireKey = "erminer/internal/rlminer.checkpointWire"
 
-// loadModuleWire loads the whole module, the committed manifest, and
+// loadModuleWire returns the shared module, the live wire shapes, and
 // the package owning the training checkpoint's wire struct.
-func loadModuleWire(t *testing.T) (*analysis.WireManifest, map[string]analysis.WireShape, *analysis.Package) {
+func loadModuleWire(t *testing.T) (*analysis.Module, map[string]analysis.WireShape, *analysis.Package) {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
-	root := filepath.Join("..", "..")
-	pkgs, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	manifest, err := analysis.LoadWireManifest(filepath.Join(root, filepath.FromSlash(analysis.WireManifestPath)))
-	if err != nil {
-		t.Fatalf("LoadWireManifest: %v", err)
-	}
-	var rlminerPkg *analysis.Package
-	for _, pkg := range pkgs {
-		if pkg.Path == "erminer/internal/rlminer" {
-			rlminerPkg = pkg
-		}
-	}
-	if rlminerPkg == nil {
-		t.Fatal("module has no erminer/internal/rlminer package")
-	}
-	return manifest, analysis.CollectWireShapes(pkgs), rlminerPkg
+	mod := loadedModule(t)
+	return mod, analysis.CollectWireShapes(mod.Packages), modulePackage(t, mod, "erminer/internal/rlminer")
 }
 
 // TestWireShapesPinned fails the moment any //ermvet:wire struct in the
@@ -43,28 +22,29 @@ func loadModuleWire(t *testing.T) (*analysis.WireManifest, map[string]analysis.W
 // comparison `ermvet -checks wiredrift` gates on, run from `go test` so
 // a shape change cannot land without touching the manifest.
 func TestWireShapesPinned(t *testing.T) {
-	manifest, live, _ := loadModuleWire(t)
-	for key, shape := range live {
+	mod, shapes, _ := loadModuleWire(t)
+	manifest := mod.Manifest
+	for key, shape := range shapes {
 		entry, ok := manifest.Structs[key]
 		if !ok {
-			t.Errorf("wire struct %s is missing from %s; run ermvet -update-wire", key, analysis.WireManifestPath)
+			t.Errorf("wire struct %s is missing from %s; run ermvet -update", key, analysis.ManifestPath)
 			continue
 		}
 		if entry.Hash != shape.Hash {
-			t.Errorf("wire struct %s drifted from the manifest (recorded %.12s, live %.12s); bump its version constant and run ermvet -update-wire",
+			t.Errorf("wire struct %s drifted from the manifest (recorded %.12s, live %.12s); bump its version constant and run ermvet -update",
 				key, entry.Hash, shape.Hash)
 		}
 		if entry.Version != shape.Version {
-			t.Errorf("wire struct %s: version constant is %d but the manifest records %d; run ermvet -update-wire",
+			t.Errorf("wire struct %s: version constant is %d but the manifest records %d; run ermvet -update",
 				key, shape.Version, entry.Version)
 		}
 	}
 	for key := range manifest.Structs {
-		if _, ok := live[key]; !ok {
-			t.Errorf("manifest entry %s has no //ermvet:wire struct in the module; run ermvet -update-wire", key)
+		if _, ok := shapes[key]; !ok {
+			t.Errorf("manifest entry %s has no //ermvet:wire struct in the module; run ermvet -update", key)
 		}
 	}
-	if _, ok := live[checkpointWireKey]; !ok {
+	if _, ok := shapes[checkpointWireKey]; !ok {
 		t.Errorf("the training checkpoint struct %s must stay a gated wire root", checkpointWireKey)
 	}
 }
@@ -75,14 +55,14 @@ func TestWireShapesPinned(t *testing.T) {
 // the struct without bumping checkpointWireVersion produces — the
 // wiredrift check must fail the rlminer package.
 func TestWireDriftGatesCheckpoint(t *testing.T) {
-	manifest, live, rlminerPkg := loadModuleWire(t)
+	mod, shapes, rlminerPkg := loadModuleWire(t)
 
-	mutated := &analysis.WireManifest{Structs: make(map[string]analysis.WireShape, len(manifest.Structs))}
-	for k, v := range manifest.Structs {
+	mutated := &analysis.Manifest{Structs: make(map[string]analysis.WireShape, len(mod.Manifest.Structs)), Metrics: mod.Manifest.Metrics}
+	for k, v := range mod.Manifest.Structs {
 		mutated.Structs[k] = v
 	}
 	entry := mutated.Structs[checkpointWireKey]
-	if entry.Version != live[checkpointWireKey].Version {
+	if entry.Version != shapes[checkpointWireKey].Version {
 		t.Fatalf("precondition: manifest and live version differ for %s", checkpointWireKey)
 	}
 	// Simulate a field rename/add/reorder: the recorded shape no longer
@@ -90,7 +70,9 @@ func TestWireDriftGatesCheckpoint(t *testing.T) {
 	entry.Hash = strings.Repeat("0", 64)
 	mutated.Structs[checkpointWireKey] = entry
 
-	diags := analysis.RunOpts(rlminerPkg, []*analysis.Check{analysis.WireDrift}, &analysis.Options{Wire: mutated})
+	gated := *mod
+	gated.Manifest = mutated
+	diags := live(&gated, rlminerPkg, analysis.WireDrift)
 	foundGate := false
 	for _, d := range diags {
 		if strings.Contains(d.Message, "changed without a version bump") &&
@@ -102,10 +84,10 @@ func TestWireDriftGatesCheckpoint(t *testing.T) {
 		t.Errorf("wiredrift did not gate a checkpoint shape change without a version bump; got %v", diags)
 	}
 
-	// The same mutation must also make -update-wire refuse to
-	// regenerate, so the manifest cannot be force-synced around the gate.
-	if _, err := analysis.UpdateWireManifest(mutated, []*analysis.Package{rlminerPkg}); err == nil ||
+	// The same mutation must also make -update refuse to regenerate, so
+	// the manifest cannot be force-synced around the gate.
+	if _, err := analysis.UpdateManifest(mutated, []*analysis.Package{rlminerPkg}); err == nil ||
 		!strings.Contains(err.Error(), "without a version bump") {
-		t.Errorf("UpdateWireManifest should refuse an unbumped checkpoint shape change, got err=%v", err)
+		t.Errorf("UpdateManifest should refuse an unbumped checkpoint shape change, got err=%v", err)
 	}
 }

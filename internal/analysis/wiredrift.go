@@ -10,32 +10,42 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// WireDrift gates the serialized wire formats — the gob checkpoint and
-// model snapshots, and the rules JSON — against silent shape drift. A
-// struct marked with an //ermvet:wire directive in its doc comment is a
-// wire root: its field names, types (transitively expanded through
-// module-local structs) and tags are hashed and compared against the
-// committed golden manifest (WireManifestPath). Any shape change fails
-// the gate unless the struct's <name>Version constant was bumped and
-// the manifest regenerated with `ermvet -update-wire` — so breaking a
-// checkpoint or rule-file format is always an explicit, reviewed
-// decision, never a casual field rename. (DESIGN.md decision 15
-// records why this is a source-shape manifest rather than a gob
-// round-trip.)
+// WireDrift gates the module's two golden-manifest contracts against
+// silent drift; both live in one committed manifest (ManifestPath).
+//
+//   - Wire shapes: the gob checkpoint and model snapshots, and the
+//     rules JSON. A struct marked with an //ermvet:wire directive in its
+//     doc comment is a wire root: its field names, types (transitively
+//     expanded through module-local structs) and tags are hashed and
+//     compared against the manifest. Any shape change fails the gate
+//     unless the struct's <name>Version constant was bumped and the
+//     manifest regenerated with `ermvet -update` — so breaking a
+//     checkpoint or rule-file format is always an explicit, reviewed
+//     decision, never a casual field rename. (DESIGN.md decision 15
+//     records why this is a source-shape manifest rather than a gob
+//     round-trip.)
+//   - Metric names: every erminerd_*/ermcluster_* name the daemon and
+//     the coordinator emit. Dashboards and alert rules key on these
+//     names by string, so a rename or drop is a breaking interface
+//     change that deserves a reviewed manifest diff, not a silent
+//     scrape gap. There is no version constant to bump: the name is the
+//     whole contract, so `ermvet -update` simply records it.
 var WireDrift = &Check{
 	Name: "wiredrift",
-	Doc:  "//ermvet:wire struct shapes must match the golden manifest; changes need a version bump + ermvet -update-wire",
+	Doc:  "//ermvet:wire struct shapes and erminerd_/ermcluster_ metric names must match the golden manifest; changes need ermvet -update (plus a version bump for shapes)",
 	Run:  runWireDrift,
 }
 
-// WireManifestPath is the golden manifest's module-root-relative path.
-// It lives under the analyzer's testdata so the module loader never
-// tries to compile it, while `go test ./internal/analysis` can pin it.
-const WireManifestPath = "internal/analysis/testdata/wire_shapes.json"
+// ManifestPath is the golden manifest's module-root-relative path. It
+// lives under the analyzer's testdata so the module loader never tries
+// to compile it, while `go test ./internal/analysis` can pin it.
+const ManifestPath = "internal/analysis/testdata/manifest.json"
 
 const wireMarker = "//ermvet:wire"
 
@@ -52,28 +62,34 @@ type WireShape struct {
 	Fields []string `json:"fields"`
 }
 
-// WireManifest is the committed golden manifest: fully qualified struct
-// name ("erminer/internal/rlminer.checkpointWire") → shape.
-type WireManifest struct {
+// Manifest is the committed golden manifest.
+type Manifest struct {
+	// Structs maps each fully qualified wire struct name
+	// ("erminer/internal/rlminer.checkpointWire") to its shape.
 	Structs map[string]WireShape `json:"structs"`
+	// Metrics maps each metric name to the package (by package name,
+	// e.g. "serve") that emits it. The owner is recorded so a dropped
+	// name is reported against the package that used to emit it, and so
+	// each package only polices its own names.
+	Metrics map[string]string `json:"metrics"`
 }
 
-// LoadWireManifest reads a manifest written by WriteWireManifest.
-func LoadWireManifest(path string) (*WireManifest, error) {
+// loadManifest reads a manifest written by Write.
+func loadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: reading wire manifest: %w", err)
+		return nil, fmt.Errorf("analysis: reading golden manifest: %w", err)
 	}
-	var m WireManifest
+	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("analysis: parsing wire manifest %s: %w", path, err)
+		return nil, fmt.Errorf("analysis: parsing golden manifest %s: %w", path, err)
 	}
 	return &m, nil
 }
 
-// WriteWireManifest writes the manifest with sorted keys and a trailing
-// newline, so regeneration produces minimal diffs.
-func (m *WireManifest) WriteWireManifest(path string) error {
+// Write writes the manifest with sorted keys and a trailing newline, so
+// regeneration produces minimal diffs.
+func (m *Manifest) Write(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
@@ -250,11 +266,55 @@ func renderType(t types.Type, modRoot string, seen map[string]bool) string {
 	}
 }
 
+// metricNameRE matches a serving-stack metric name inside a string
+// literal. The two prefixes are the daemon's and the coordinator's;
+// scanning literals (rather than one blessed const block) means the
+// gate also catches a raw Fprintf that bypasses the name constants.
+var metricNameRE = regexp.MustCompile(`\b(?:erminerd|ermcluster)_[a-z0-9_]+`)
+
+// collectMetricLiterals scrapes every metric name mentioned in the
+// package's string literals, keeping the first occurrence's position
+// for reporting.
+func collectMetricLiterals(pkg *Package) map[string]token.Pos {
+	found := make(map[string]token.Pos)
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			s, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				return true
+			}
+			for _, name := range metricNameRE.FindAllString(s, -1) {
+				if _, ok := found[name]; !ok {
+					found[name] = lit.Pos()
+				}
+			}
+			return true
+		})
+	}
+	return found
+}
+
+// CollectMetricNames computes the live metric names across the given
+// packages: every name found in a string literal, mapped to the
+// emitting package's name.
+func CollectMetricNames(pkgs []*Package) map[string]string {
+	live := make(map[string]string)
+	for _, pkg := range pkgs {
+		for name := range collectMetricLiterals(pkg) {
+			live[name] = pkg.Types.Name()
+		}
+	}
+	return live
+}
+
 func runWireDrift(pass *Pass) {
-	structs := collectWireStructs(pass.Package)
-	manifest := pass.Opts.Wire
+	manifest := pass.Module.Manifest
 	livePresent := make(map[string]bool)
-	for _, ws := range structs {
+	for _, ws := range collectWireStructs(pass.Package) {
 		key := pass.Path + "." + ws.name
 		livePresent[key] = true
 		if ws.st == nil {
@@ -270,7 +330,7 @@ func runWireDrift(pass *Pass) {
 		}
 		entry, ok := manifest.Structs[key]
 		if !ok {
-			pass.Reportf(ws.pos, "wire struct %s is not in the golden manifest (%s); record it with ermvet -update-wire", ws.name, WireManifestPath)
+			pass.Reportf(ws.pos, "wire struct %s is not in the golden manifest (%s); record it with ermvet -update", ws.name, ManifestPath)
 			continue
 		}
 		live := liveShape(pass.Package, ws)
@@ -279,41 +339,74 @@ func runWireDrift(pass *Pass) {
 			// In sync.
 		case live.Hash != entry.Hash && live.Version == entry.Version:
 			pass.Reportf(ws.pos,
-				"wire shape of %s changed without a version bump (manifest hash %.12s, live %.12s): this silently breaks files written by the old format — bump %sVersion and regenerate with ermvet -update-wire",
+				"wire shape of %s changed without a version bump (manifest hash %.12s, live %.12s): this silently breaks files written by the old format — bump %sVersion and regenerate with ermvet -update",
 				ws.name, entry.Hash, live.Hash, ws.name)
 		case live.Hash == entry.Hash && live.Version != entry.Version:
 			pass.Reportf(ws.verPos,
-				"%sVersion is %d but the manifest records %d for an identical shape; regenerate with ermvet -update-wire",
+				"%sVersion is %d but the manifest records %d for an identical shape; regenerate with ermvet -update",
 				ws.name, live.Version, entry.Version)
 		default:
 			pass.Reportf(ws.pos,
-				"wire shape of %s changed and %sVersion was bumped (%d → %d); regenerate the manifest with ermvet -update-wire",
+				"wire shape of %s changed and %sVersion was bumped (%d → %d); regenerate the manifest with ermvet -update",
 				ws.name, ws.name, entry.Version, live.Version)
 		}
 	}
-	if manifest != nil {
-		var stale []string
-		for key := range manifest.Structs {
-			if dot := strings.LastIndexByte(key, '.'); dot >= 0 && key[:dot] == pass.Path && !livePresent[key] {
-				stale = append(stale, key)
-			}
+	if manifest == nil {
+		return
+	}
+	// Manifest entries this package owns but no longer declares or emits
+	// are reported at its first file's package clause.
+	pos := token.NoPos
+	if len(pass.Files) > 0 {
+		pos = pass.Files[0].Pos()
+	}
+	var stale []string
+	for key := range manifest.Structs {
+		if dot := strings.LastIndexByte(key, '.'); dot >= 0 && key[:dot] == pass.Path && !livePresent[key] {
+			stale = append(stale, key)
 		}
-		sort.Strings(stale)
-		for _, key := range stale {
-			pos := token.NoPos
-			if len(pass.Files) > 0 {
-				pos = pass.Files[0].Pos()
-			}
-			pass.Reportf(pos, "manifest entry %s has no //ermvet:wire struct in the package; regenerate with ermvet -update-wire", key)
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		pass.Reportf(pos, "manifest entry %s has no //ermvet:wire struct in the package; regenerate with ermvet -update", key)
+	}
+
+	found := collectMetricLiterals(pass.Package)
+	names := make([]string, 0, len(found))
+	for name := range found {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if _, ok := manifest.Metrics[name]; !ok {
+			pass.Reportf(found[name],
+				"metric %s is not in the golden manifest (%s); dashboards cannot see unrecorded names — add it with ermvet -update",
+				name, ManifestPath)
 		}
+	}
+	// A manifest name owned by this package with no remaining literal was
+	// renamed or dropped: the scrape consumers keyed on it break.
+	var gone []string
+	for name, owner := range manifest.Metrics {
+		if _, ok := found[name]; owner == pass.Types.Name() && !ok {
+			gone = append(gone, name)
+		}
+	}
+	sort.Strings(gone)
+	for _, name := range gone {
+		pass.Reportf(pos,
+			"manifest metric %s is no longer emitted by package %s; renaming or dropping a metric breaks its scrape consumers — regenerate with ermvet -update",
+			name, pass.Types.Name())
 	}
 }
 
-// UpdateWireManifest regenerates the manifest from the live shapes,
-// refusing entries whose shape changed while the version constant did
-// not: the bump is the reviewable signal that a format break is
-// intentional. old may be nil (first generation).
-func UpdateWireManifest(old *WireManifest, pkgs []*Package) (*WireManifest, error) {
+// UpdateManifest regenerates the manifest from the live shapes and
+// metric names, refusing wire entries whose shape changed while the
+// version constant did not: the bump is the reviewable signal that a
+// format break is intentional. Metric names carry no version
+// discipline, but the rewrite still goes through review as a manifest
+// diff. old may be nil (first generation).
+func UpdateManifest(old *Manifest, pkgs []*Package) (*Manifest, error) {
 	live := CollectWireShapes(pkgs)
 	var frozen []string
 	if old != nil {
@@ -325,8 +418,8 @@ func UpdateWireManifest(old *WireManifest, pkgs []*Package) (*WireManifest, erro
 		sort.Strings(frozen)
 	}
 	if len(frozen) > 0 {
-		return nil, fmt.Errorf("analysis: refusing to update wire manifest: shape of %s changed without a version bump (bump the Version constant first)",
+		return nil, fmt.Errorf("analysis: refusing to update the golden manifest: shape of %s changed without a version bump (bump the Version constant first)",
 			strings.Join(frozen, ", "))
 	}
-	return &WireManifest{Structs: live}, nil
+	return &Manifest{Structs: live, Metrics: CollectMetricNames(pkgs)}, nil
 }

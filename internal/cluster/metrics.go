@@ -12,8 +12,8 @@ import (
 // The coordinator's metric names, exported under the ermcluster_ prefix
 // in the same flat `name value` text format as the workers' erminerd_
 // metrics, so one scraper config covers both roles. As in the worker
-// daemon, every name is a const pinned by the ermvet metricdrift
-// manifest: a rename or drop without regenerating metrics_names.json
+// daemon, every name is a const pinned by the ermvet wiredrift
+// manifest: a rename or drop without regenerating it (ermvet -update)
 // fails the build.
 const (
 	metricUptimeSeconds       = "ermcluster_uptime_seconds"

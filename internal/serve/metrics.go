@@ -10,10 +10,10 @@ import (
 )
 
 // The daemon's metric names. Every name is a const (not an inline
-// Fprintf literal) so the ermvet metricdrift check can pin the full set
+// Fprintf literal) so the ermvet wiredrift check can pin the full set
 // in its golden manifest: renaming or dropping a line here without
-// regenerating metrics_names.json fails the build, the same way a wire
-// shape cannot drift without a version bump.
+// regenerating the manifest (ermvet -update) fails the build, the same
+// way a wire shape cannot drift without a version bump.
 const (
 	metricUptimeSeconds       = "erminerd_uptime_seconds"
 	metricRequestsTotal       = "erminerd_requests_total"
