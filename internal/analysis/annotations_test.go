@@ -71,7 +71,8 @@ func TestGuardedByInventory(t *testing.T) {
 }
 
 // TestHotpathInventory pins the //ermvet:hotpath roots and
-// //ermvet:coldpath prunes seeded on the columnar repair path. Deleting
+// //ermvet:coldpath prunes seeded on the columnar repair path and the
+// DQN training step. Deleting
 // an annotation fails this test, so the allocation budget cannot
 // silently shrink; a "cold:" entry records a deliberate prune and its
 // rationale's presence is enforced by the allocbudget check itself.
@@ -101,6 +102,26 @@ func TestHotpathInventory(t *testing.T) {
 		},
 		"../repair/repair.go": {
 			"applyRule",
+		},
+		"../nn/matrix.go": {
+			"MatMul",
+			"MatMulABT",
+			"MatMulATB",
+			"cold:grow",
+			"cold:shapePanic",
+		},
+		"../nn/layer.go": {
+			"(*Dense).Backward",
+			"(*Dense).Forward",
+			"(*ReLU).Backward",
+			"(*ReLU).Forward",
+		},
+		"../nn/optim.go": {
+			"(*Adam).Step",
+			"cold:(*Adam).initMoments",
+		},
+		"../rl/dqn.go": {
+			"(*Agent).TrainStep",
 		},
 	}
 	for file, fns := range want {

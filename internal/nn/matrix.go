@@ -1,9 +1,18 @@
 // Package nn is a small, dependency-free neural-network library: dense
-// layers with ReLU activations, mean-squared-error and Huber losses, SGD
-// and Adam optimizers, and gob serialisation. It exists to support the
-// DQN value network of RLMiner (paper §IV-C) at the paper's scale —
-// state vectors of tens to a few hundred dimensions and a few thousand
-// training steps — where a CPU implementation is entirely sufficient.
+// layers with ReLU activations, the Huber loss, the Adam optimizer and
+// gob serialisation. It exists to support the DQN value network of
+// RLMiner (paper §IV-C) at the paper's scale — state vectors of tens to
+// a few hundred dimensions and a few thousand training steps — where a
+// CPU implementation is entirely sufficient.
+//
+// The products write into per-layer workspaces that grow to the largest
+// batch a network has seen and are reused afterwards, so a steady-state
+// training step allocates nothing. A matrix returned by Forward or
+// Predict, or by a layer's Backward, therefore aliases that network's
+// workspace: it stays valid until the network's next Forward, and a
+// caller that needs it longer copies it. Every product sums each
+// output element's non-zero terms in ascending k starting from +0,
+// which makes skipping zero operands exact (DESIGN.md decision 22).
 package nn
 
 import (
@@ -45,78 +54,107 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Zero resets all elements to zero.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
+func (m *Matrix) Zero() { clear(m.Data) }
+
+// resize returns ws reshaped to rows×cols over its own backing store,
+// or a new zero matrix when ws is nil or too small. The contents of a
+// reshaped workspace are stale; every caller overwrites them.
+func resize(ws *Matrix, rows, cols int) *Matrix {
+	if ws == nil || cap(ws.Data) < rows*cols {
+		return grow(rows, cols)
 	}
+	ws.Rows, ws.Cols, ws.Data = rows, cols, ws.Data[:rows*cols]
+	return ws
 }
 
-// MatMul computes a·b into a new matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: MatMul shape mismatch (%dx%d)·(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols))
+// grow allocates a workspace.
+//
+//ermvet:coldpath a workspace grows only when a network first sees a larger batch
+func grow(rows, cols int) *Matrix { return NewMatrix(rows, cols) }
+
+// shapePanic reports a product or transpose of incompatible shapes.
+//
+//ermvet:coldpath panics on a shape mismatch, which only a bug produces
+func shapePanic(op string, out, a, b *Matrix) {
+	panic(fmt.Sprintf("nn: %s shape mismatch (%dx%d) from (%dx%d), (%dx%d)",
+		op, out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+}
+
+// MatMul computes out = a·b, overwriting out, which must be
+// a.Rows×b.Cols. Each element sums its terms in ascending k from +0 and
+// skips the zero entries of a — one-hot states, ReLU zeros, the loss
+// gradient's single non-zero per row — which leaves every bit unchanged
+// (DESIGN.md decision 22). The non-zero terms of a row are applied four
+// at a time, so an output element is loaded and stored once per four
+// terms; it still rounds after each addition, in order.
+//
+//ermvet:hotpath
+func MatMul(out, a, b *Matrix) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		shapePanic("MatMul", out, a, b)
 	}
-	out := NewMatrix(a.Rows, b.Cols)
+	n := b.Cols
+	var c [4]float64
+	var ks [4]int
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+		orow := out.Data[i*n : (i+1)*n]
+		clear(orow)
+		nk := 0
+		for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			// Every entry is written to the next slot, but only a
+			// non-zero one claims it: a conditional move, where a branch
+			// would mispredict on the ReLU zero pattern.
+			c[nk&3], ks[nk&3] = av, k
+			if av != 0 {
+				nk++
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			if nk == 4 {
+				c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+				x0, x1 := b.Data[ks[0]*n:][:n], b.Data[ks[1]*n:][:n]
+				x2, x3 := b.Data[ks[2]*n:][:n], b.Data[ks[3]*n:][:n]
+				for j := range orow {
+					orow[j] = orow[j] + c0*x0[j] + c1*x1[j] + c2*x2[j] + c3*x3[j]
+				}
+				nk = 0
+			}
+		}
+		for t := 0; t < nk; t++ {
+			ct, x := c[t], b.Data[ks[t]*n:][:n]
+			for j := range orow {
+				orow[j] += ct * x[j]
 			}
 		}
 	}
-	return out
 }
 
-// MatMulATB computes aᵀ·b into a new matrix.
-func MatMulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("nn: MatMulATB shape mismatch (%dx%d)ᵀ·(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Cols, b.Cols)
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Row(r)
-		brow := b.Row(r)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
+// MatMulATB computes out = aᵀ·b, overwriting out, which must be
+// a.Cols×b.Cols, and at, which must be a.Cols×a.Rows, with aᵀ.
+//
+//ermvet:hotpath
+func MatMulATB(out, a, b, at *Matrix) {
+	transpose(at, a)
+	MatMul(out, at, b)
 }
 
-// MatMulABT computes a·bᵀ into a new matrix.
-func MatMulABT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMulABT shape mismatch (%dx%d)·(%dx%d)ᵀ",
-			a.Rows, a.Cols, b.Rows, b.Cols))
+// MatMulABT computes out = a·bᵀ, overwriting out, which must be
+// a.Rows×b.Rows, and bt, which must be b.Cols×b.Rows, with bᵀ.
+//
+//ermvet:hotpath
+func MatMulABT(out, a, b, bt *Matrix) {
+	transpose(bt, b)
+	MatMul(out, a, bt)
+}
+
+// transpose writes aᵀ into out, which must be a.Cols×a.Rows.
+func transpose(out, a *Matrix) {
+	if out.Rows != a.Cols || out.Cols != a.Rows {
+		shapePanic("transpose", out, a, a)
 	}
-	out := NewMatrix(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k := range arow {
-				s += arow[k] * brow[k]
-			}
-			orow[j] = s
+		for k, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			out.Data[k*a.Rows+i] = v
 		}
 	}
-	return out
 }
 
 // XavierFill initialises the matrix with Glorot-uniform values for a

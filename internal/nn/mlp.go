@@ -13,7 +13,9 @@ import (
 // a linear layer producing the logits q_t).
 type MLP struct {
 	sizes  []int
-	layers []Layer
+	dense  []*Dense
+	relu   []*ReLU // relu[i] follows dense[i]; the output layer is linear
+	params []*Param
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g.
@@ -25,9 +27,11 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 	}
 	m := &MLP{sizes: append([]int(nil), sizes...)}
 	for i := 0; i+1 < len(sizes); i++ {
-		m.layers = append(m.layers, NewDense(rng, sizes[i], sizes[i+1]))
+		d := NewDense(rng, sizes[i], sizes[i+1])
+		m.dense = append(m.dense, d)
+		m.params = append(m.params, d.W, d.B)
 		if i+2 < len(sizes) {
-			m.layers = append(m.layers, &ReLU{})
+			m.relu = append(m.relu, &ReLU{})
 		}
 	}
 	return m
@@ -36,15 +40,21 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 // Sizes returns the layer sizes the network was built with.
 func (m *MLP) Sizes() []int { return append([]int(nil), m.sizes...) }
 
-// Forward runs a batch through the network.
+// Forward runs a batch through the network. The returned matrix is the
+// network's output workspace: it stays valid until the next Forward
+// (or Predict) on this network, which overwrites it.
 func (m *MLP) Forward(x *Matrix) *Matrix {
-	for _, l := range m.layers {
-		x = l.Forward(x)
+	for i, d := range m.dense {
+		x = d.Forward(x)
+		if i < len(m.relu) {
+			x = m.relu[i].Forward(x)
+		}
 	}
 	return x
 }
 
-// Predict runs a single input vector and returns the output vector.
+// Predict runs a single input vector and returns the output vector,
+// which aliases the network's workspace like Forward's result.
 func (m *MLP) Predict(v []float64) []float64 {
 	out := m.Forward(FromRow(v))
 	return out.Row(0)
@@ -52,24 +62,22 @@ func (m *MLP) Predict(v []float64) []float64 {
 
 // Backward backpropagates the gradient of the loss w.r.t. the output,
 // accumulating parameter gradients. Forward must have been called first.
+// The input gradient of the first layer is never needed, so it is not
+// computed.
 func (m *MLP) Backward(gradOut *Matrix) {
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		gradOut = m.layers[i].Backward(gradOut)
+	for i := len(m.dense) - 1; i > 0; i-- {
+		gradOut = m.relu[i-1].Backward(m.dense[i].Backward(gradOut))
 	}
+	m.dense[0].accumulate(gradOut)
 }
 
-// Params returns all trainable parameters.
-func (m *MLP) Params() []*Param {
-	var out []*Param
-	for _, l := range m.layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
+// Params returns all trainable parameters, in layer order. The slice is
+// the network's own and must not be modified.
+func (m *MLP) Params() []*Param { return m.params }
 
 // ZeroGrads clears all parameter gradients.
 func (m *MLP) ZeroGrads() {
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		p.Grad.Zero()
 	}
 }

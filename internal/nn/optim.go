@@ -5,38 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		v := s.vel[p]
-		if v == nil {
-			v = make([]float64, len(p.Value.Data))
-			s.vel[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			v[i] = s.Momentum*v[i] - s.LR*g
-			p.Value.Data[i] += v[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba 2015) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -54,28 +22,39 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step updates params from their accumulated gradients.
+//
+//ermvet:hotpath
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
 	for _, p := range params {
-		m := a.m[p]
-		v := a.v[p]
+		m, v := a.m[p], a.v[p]
 		if m == nil {
-			m = make([]float64, len(p.Value.Data))
-			v = make([]float64, len(p.Value.Data))
-			a.m[p] = m
-			a.v[p] = v
+			m, v = a.initMoments(p)
 		}
-		for i, g := range p.Grad.Data {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+		w := p.Value.Data
+		m, v = m[:len(w)], v[:len(w)]
+		for i, g := range p.Grad.Data[:len(w)] {
+			m[i] = b1*m[i] + (1-b1)*g
+			v[i] = b2*v[i] + (1-b2)*g*g
 			mhat := m[i] / c1
 			vhat := v[i] / c2
-			p.Value.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
+			w[i] -= lr * mhat / (math.Sqrt(vhat) + eps)
 		}
 	}
+}
+
+// initMoments allocates p's zero moment vectors.
+//
+//ermvet:coldpath a parameter's moments are allocated on its first step only
+func (a *Adam) initMoments(p *Param) (m, v []float64) {
+	m = make([]float64, len(p.Value.Data))
+	v = make([]float64, len(p.Value.Data))
+	a.m[p], a.v[p] = m, v
+	return m, v
 }
 
 // AdamState is the optimiser's serialisable state, expressed relative
@@ -159,6 +138,3 @@ func HuberLoss(e float64) float64 {
 	}
 	return 0.5 * e * e
 }
-
-// MSEGrad returns the gradient of ½·e² — the raw error.
-func MSEGrad(e float64) float64 { return e }

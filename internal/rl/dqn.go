@@ -57,13 +57,11 @@ func (r *Replay) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (r *Replay) Len() int { return r.n }
 
-// Sample draws k transitions uniformly with replacement.
-func (r *Replay) Sample(rng *detrand.RNG, k int) []Transition {
-	out := make([]Transition, k)
+// Sample fills out with transitions drawn uniformly with replacement.
+func (r *Replay) Sample(rng *detrand.RNG, out []Transition) {
 	for i := range out {
 		out[i] = r.buf[rng.Intn(r.n)]
 	}
-	return out
 }
 
 // Config holds the DQN hyperparameters.
@@ -143,6 +141,15 @@ type Agent struct {
 	rng      *detrand.RNG
 	steps    int // observed transitions (drives ε)
 	optSteps int // optimisation steps (drives target sync)
+
+	// Minibatch buffers TrainStep reuses: the sampled transitions and
+	// their prioritized-replay indices, the state and next-state
+	// matrices, the Bellman targets, the errors and the loss gradient.
+	batch         []Transition
+	prioIdxs      []int
+	states, nexts *nn.Matrix
+	targets, errs []float64
+	grad          *nn.Matrix
 }
 
 // NewAgent builds an agent for the given state/action dimensions. The
@@ -175,7 +182,21 @@ func NewAgentFrom(rng *detrand.RNG, net *nn.MLP, cfg Config) *Agent {
 	} else {
 		a.replay = NewReplay(c.ReplayCapacity)
 	}
+	a.allocBatch()
 	return a
+}
+
+// allocBatch allocates the minibatch buffers at the configured batch
+// size and the online network's input and output widths.
+func (a *Agent) allocBatch() {
+	n, sizes := a.cfg.BatchSize, a.online.Sizes()
+	a.batch = make([]Transition, n)
+	a.prioIdxs = make([]int, n)
+	a.states = nn.NewMatrix(n, sizes[0])
+	a.nexts = nn.NewMatrix(n, sizes[0])
+	a.targets = make([]float64, n)
+	a.errs = make([]float64, n)
+	a.grad = nn.NewMatrix(n, sizes[len(sizes)-1])
 }
 
 // replayLen returns the number of stored transitions.
@@ -248,37 +269,38 @@ func (a *Agent) Observe(t Transition) {
 // returns the mean Huber loss actually optimised and whether an
 // optimisation step happened at all — during warmup (replay smaller than
 // Warmup or BatchSize) it returns (0, false), which callers must not
-// confuse with a genuine zero-loss step.
+// confuse with a genuine zero-loss step. Once every buffer and
+// workspace exists it allocates nothing.
+//
+//ermvet:hotpath
 func (a *Agent) TrainStep() (loss float64, stepped bool) {
 	if a.replayLen() < a.cfg.Warmup || a.replayLen() < a.cfg.BatchSize {
 		return 0, false
 	}
-	var batch []Transition
-	var prioIdxs []int
+	batch := a.batch
 	if a.preplay != nil {
-		batch, prioIdxs = a.preplay.Sample(a.rng, a.cfg.BatchSize)
+		a.preplay.Sample(a.rng, batch, a.prioIdxs)
 	} else {
-		batch = a.replay.Sample(a.rng, a.cfg.BatchSize)
+		a.replay.Sample(a.rng, batch)
 	}
-
-	stateDim := len(batch[0].State)
-	states := nn.NewMatrix(len(batch), stateDim)
-	nexts := nn.NewMatrix(len(batch), stateDim)
 	for i, t := range batch {
-		copy(states.Row(i), t.State)
-		if !t.Done {
-			copy(nexts.Row(i), t.Next)
+		copy(a.states.Row(i), t.State)
+		if t.Done {
+			clear(a.nexts.Row(i))
+		} else {
+			copy(a.nexts.Row(i), t.Next)
 		}
 	}
 
 	// Bellman targets from the target network, maximising over the next
-	// state's valid actions only.
-	targetQ := a.target.Forward(nexts)
+	// state's valid actions only. onlineNextQ aliases the online
+	// network's workspace, so it is read before the next online Forward.
+	targetQ := a.target.Forward(a.nexts)
 	var onlineNextQ *nn.Matrix
 	if a.cfg.DoubleDQN {
-		onlineNextQ = a.online.Forward(nexts)
+		onlineNextQ = a.online.Forward(a.nexts)
 	}
-	targets := make([]float64, len(batch))
+	targets := a.targets
 	for i, t := range batch {
 		targets[i] = t.Reward
 		if t.Done {
@@ -311,9 +333,9 @@ func (a *Agent) TrainStep() (loss float64, stepped bool) {
 
 	// Forward-backward on the online network; the loss gradient is
 	// non-zero only at the taken actions (Huber-clipped error).
-	q := a.online.Forward(states)
-	grad := nn.NewMatrix(q.Rows, q.Cols)
-	errs := make([]float64, len(batch))
+	q := a.online.Forward(a.states)
+	grad, errs := a.grad, a.errs
+	grad.Zero()
 	for i, t := range batch {
 		e := q.At(i, t.Action) - targets[i]
 		errs[i] = e
@@ -324,7 +346,7 @@ func (a *Agent) TrainStep() (loss float64, stepped bool) {
 	a.online.Backward(grad)
 	a.opt.Step(a.online.Params())
 	if a.preplay != nil {
-		a.preplay.Update(prioIdxs, errs)
+		a.preplay.Update(a.prioIdxs, errs)
 	}
 
 	a.optSteps++

@@ -18,8 +18,10 @@ func TestReplayRingBuffer(t *testing.T) {
 	}
 	// The oldest transitions (0, 1) were evicted.
 	rng := detrand.New(1)
+	batch := make([]Transition, 3)
 	for i := 0; i < 50; i++ {
-		for _, tr := range r.Sample(rng, 3) {
+		r.Sample(rng, batch)
+		for _, tr := range batch {
 			if tr.Reward < 2 {
 				t.Fatalf("evicted transition sampled: %g", tr.Reward)
 			}

@@ -68,13 +68,13 @@ func (p *PrioritizedReplay) setPriority(idx int, prio float64) {
 	}
 }
 
-// Sample draws k transitions proportionally to priority, returning their
-// indices for later priority updates.
-func (p *PrioritizedReplay) Sample(rng *detrand.RNG, k int) ([]Transition, []int) {
-	out := make([]Transition, k)
-	idxs := make([]int, k)
+// Sample fills out with transitions drawn proportionally to priority
+// and idxs (as long as out) with their indices, for later priority
+// updates.
+func (p *PrioritizedReplay) Sample(rng *detrand.RNG, out []Transition, idxs []int) {
+	idxs = idxs[:len(out)]
 	total := p.tree[1]
-	for i := 0; i < k; i++ {
+	for i := range out {
 		x := rng.Float64() * total
 		node := 1
 		for node < p.capacity {
@@ -94,7 +94,6 @@ func (p *PrioritizedReplay) Sample(rng *detrand.RNG, k int) ([]Transition, []int
 		out[i] = p.data[idx]
 		idxs[i] = idx
 	}
-	return out, idxs
 }
 
 // Update records the new Bellman errors of sampled transitions.

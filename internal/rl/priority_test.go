@@ -45,8 +45,9 @@ func TestPrioritizedReplaySamplesHighPriority(t *testing.T) {
 	rng := detrand.New(1)
 	hits := 0
 	const draws = 2000
+	batch, idxs := make([]Transition, 1), make([]int, 1)
 	for i := 0; i < draws; i++ {
-		batch, _ := p.Sample(rng, 1)
+		p.Sample(rng, batch, idxs)
 		if batch[0].Reward == 3 {
 			hits++
 		}
@@ -65,8 +66,9 @@ func TestPrioritizedReplayUniformAtAlphaZero(t *testing.T) {
 	p.Update(idxs, []float64{1e9}) // α = 0 flattens any priority to 1
 	rng := detrand.New(2)
 	counts := make(map[float64]int)
+	batch := make([]Transition, 1)
 	for i := 0; i < 4000; i++ {
-		batch, _ := p.Sample(rng, 1)
+		p.Sample(rng, batch, idxs)
 		counts[batch[0].Reward]++
 	}
 	for r, c := range counts {
@@ -82,8 +84,9 @@ func TestPrioritizedReplayIndicesValid(t *testing.T) {
 		p.Add(Transition{Reward: float64(i)})
 	}
 	rng := detrand.New(3)
+	batch, idxs := make([]Transition, 4), make([]int, 4)
 	for i := 0; i < 100; i++ {
-		batch, idxs := p.Sample(rng, 4)
+		p.Sample(rng, batch, idxs)
 		for j, idx := range idxs {
 			if idx < 0 || idx >= p.Len() {
 				t.Fatalf("index %d out of range", idx)

@@ -107,6 +107,9 @@ func LoadAgentState(data []byte) (*Agent, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sa); err != nil {
 		return nil, fmt.Errorf("rl: decoding agent state: %w", err)
 	}
+	if sa.Cfg.BatchSize <= 0 {
+		return nil, fmt.Errorf("rl: agent state has batch size %d", sa.Cfg.BatchSize)
+	}
 	online, err := nn.LoadMLP(bytes.NewReader(sa.Online))
 	if err != nil {
 		return nil, fmt.Errorf("rl: restoring online net: %w", err)
@@ -131,6 +134,7 @@ func LoadAgentState(data []byte) (*Agent, error) {
 	if err := a.opt.SetState(online.Params(), sa.Adam); err != nil {
 		return nil, err
 	}
+	a.allocBatch()
 	switch {
 	case sa.PReplay != nil:
 		p := sa.PReplay

@@ -2,6 +2,7 @@ package rl
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"erminer/internal/detrand"
@@ -95,5 +96,24 @@ func TestAgentStateCountersSurvive(t *testing.T) {
 func TestLoadAgentStateRejectsGarbage(t *testing.T) {
 	if _, err := LoadAgentState([]byte("not a gob stream")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+func TestLoadAgentStateRejectsBadBatchSize(t *testing.T) {
+	data, err := NewAgent(detrand.New(10), 2, 3, Config{}).SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sa savedAgent
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sa); err != nil {
+		t.Fatal(err)
+	}
+	sa.Cfg.BatchSize = 0
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sa); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAgentState(buf.Bytes()); err == nil {
+		t.Error("agent state with batch size 0 accepted")
 	}
 }

@@ -374,6 +374,13 @@ func TestSharedIndexBuiltOnce(t *testing.T) {
 // repair with the rule set it installed.
 func TestJobLifecycle(t *testing.T) {
 	s := newTestServer(t, nil, Config{})
+	// Park the job until the submit response has been checked: the
+	// handler snapshots the job after queueing it, so a worker could
+	// otherwise finish this tiny job before the 202 body is built.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	s.holdJob = func(string) { <-gate }
 	w := do(s, "POST", "/v1/jobs", `{"method": "enuminerh3", "k": 5, "activate": true}`)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs: status %d: %s", w.Code, w.Body)
@@ -383,6 +390,7 @@ func TestJobLifecycle(t *testing.T) {
 	if st.ID == "" || (st.State != JobQueued && st.State != JobRunning) {
 		t.Fatalf("submitted job = %+v", st)
 	}
+	release()
 
 	waitFor(t, "mining job to finish", func() bool {
 		var cur JobStatus
