@@ -34,15 +34,15 @@ serve:
 test:
 	go test ./...
 
-# The paper-artifact benchmarks plus the parallel-engine benchmarks
-# (BenchmarkEvaluateParallel / BenchmarkEnuMinerParallel report their
-# speedup over the serial path; baseline in BENCH_parallel.json, marked
-# stale since the columnar engine landed — see BENCH_hotpath.json).
+# The paper-artifact benchmarks plus the micro-benchmarks in
+# bench_test.go (BenchmarkEnuMinerParallel reports its speedup over the
+# serial walk; baselines in BENCH_hotpath.json and BENCH_parallel.json).
 bench:
 	go test -run XXX -bench . -benchmem .
 
-# Re-record the columnar hot-path baseline (BENCH_hotpath.json):
-# BenchmarkEvaluate/{columnar,scalar} and the serve-layer
-# BenchmarkRepairThroughput. See README "Performance".
+# Re-record the micro-benchmark baselines: BenchmarkEvaluate and the
+# serve-layer BenchmarkRepairThroughput (BENCH_hotpath.json),
+# BenchmarkEnuMinerParallel (BENCH_parallel.json) and
+# BenchmarkApplyDelta (BENCH_delta.json). See README "Performance".
 bench-baseline:
 	./scripts/bench.sh

@@ -23,8 +23,8 @@ import (
 // these aliases are the supported public surface.
 type (
 	// Problem is one editing-rule discovery instance (paper Problem 1).
-	// Its Parallelism field sets the worker budget of the parallel
-	// evaluation engine (0 = all CPUs, 1 = serial; results are
+	// Its Parallelism field sets the worker budget of EnuMiner's
+	// parallel frontier (0 = all CPUs, 1 = serial; results are
 	// bit-identical either way), and Problem.ShareIndexes equips it
 	// with a shared master-index cache reused across mining, reward
 	// queries and repair.

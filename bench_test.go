@@ -95,33 +95,24 @@ func benchRule(p *core.Problem) *rule.Rule {
 	}, p.Y, p.Ym, nil)
 }
 
-// BenchmarkEvaluate measures one full rule evaluation with a warm master
-// index (DESIGN.md decision 2: group-based measure evaluation), on the
-// default columnar engine and the retained scalar reference path
-// (DESIGN.md decision 16). The columnar/warm case is the hot path of
-// both miners and the serving layer; with the cover buffer recycled it
-// must report 0 allocs/op — CI gates on it via TestEvaluateZeroAlloc
-// and scripts/bench.sh records it in BENCH_hotpath.json.
+// BenchmarkEvaluate measures one full rule evaluation on the columnar
+// engine (DESIGN.md decision 16) with a warm master index (decision 2:
+// group-based measure evaluation). It is the hot path of both miners
+// and the serving layer; with the cover buffer recycled it must report
+// 0 allocs/op — CI gates on it via TestEvaluateZeroAlloc and the
+// scripts/check.sh cross-check, and scripts/bench.sh records it in
+// BENCH_hotpath.json.
 func BenchmarkEvaluate(b *testing.B) {
 	p := benchProblem(b)
 	r := benchRule(p)
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{{"columnar", false}, {"scalar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p.ScalarEval = mode.scalar
-			defer func() { p.ScalarEval = false }()
-			ev := p.NewEvaluator()
-			ms := ev.Evaluate(r, nil) // warm index, postings, projection
-			ev.ReleaseCover(ms.PatternCover)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ms := ev.Evaluate(r, nil)
-				ev.ReleaseCover(ms.PatternCover)
-			}
-		})
+	ev := p.NewEvaluator()
+	ms := ev.Evaluate(r, nil) // warm index, postings, projection
+	ev.ReleaseCover(ms.PatternCover)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms := ev.Evaluate(r, nil)
+		ev.ReleaseCover(ms.PatternCover)
 	}
 }
 
@@ -328,8 +319,8 @@ func BenchmarkEnvStep(b *testing.B) {
 }
 
 // minNs times f runs times and returns the fastest wall-clock
-// nanoseconds — the serial baseline the parallel benchmarks report
-// their speedup against.
+// nanoseconds — the serial baseline BenchmarkEnuMinerParallel reports
+// its speedup against.
 func minNs(runs int, f func()) float64 {
 	var best time.Duration
 	for i := 0; i < runs; i++ {
@@ -340,58 +331,6 @@ func minNs(runs int, f func()) float64 {
 		}
 	}
 	return float64(best.Nanoseconds())
-}
-
-// BenchmarkEvaluateParallel measures a full-relation pattern scan (the
-// Evaluate parentCover == nil path) on a large input at all-CPU
-// parallelism, reporting the speedup over the same scan at
-// Parallelism 1, in both engines: the scalar subbench pins ScalarEval
-// and exercises the retained chunked row-at-a-time scan, while the
-// columnar subbench runs the posting-list default that replaced full
-// scans — recorded side by side so BENCH_parallel.json tells the whole
-// story instead of only the legacy path. Parallel and serial scans
-// return bit-identical covers in both engines; re-record the baseline
-// with scripts/bench.sh.
-func BenchmarkEvaluateParallel(b *testing.B) {
-	ds, err := datagen.Covid().Build(datagen.DefaultSpec(40000, 1824, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []struct {
-		name   string
-		scalar bool
-	}{
-		{"columnar", false},
-		{"scalar", true},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			p := &core.Problem{
-				Input: ds.Input, Master: ds.Master, Match: ds.Match,
-				Y: ds.Y, Ym: ds.Ym, SupportThreshold: ds.SupportThreshold,
-				ScalarEval: eng.scalar,
-			}
-			ov := p.Input.Schema().MustIndex("overseas")
-			no, ok := p.Input.Dict(ov).Lookup("No")
-			if !ok {
-				b.Fatal("No not interned")
-			}
-			scan := rule.New(nil, p.Y, p.Ym, nil).WithCondition(rule.Eq(ov, no))
-
-			serial := p.NewEvaluator()
-			serial.Parallelism = 1
-			serial.Evaluate(scan, nil) // warm indexes outside the timings
-			par := p.NewEvaluator()    // Parallelism defaults to NumCPU
-			par.Evaluate(scan, nil)
-
-			serialNs := minNs(5, func() { serial.Evaluate(scan, nil) })
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				par.Evaluate(scan, nil)
-			}
-			b.ReportMetric(serialNs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "speedup")
-			b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-		})
-	}
 }
 
 // BenchmarkEnuMinerParallel measures a full EnuMinerH3 mine on the

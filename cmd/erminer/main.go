@@ -25,8 +25,8 @@
 //
 // Methods: rlminer (default), enuminer, enuminerh3, ctane.
 //
-// Evaluation runs on the parallel engine by default (-parallel 0 = one
-// worker per CPU); -parallel 1 forces the serial path. Results are
+// EnuMiner expands its search frontier on one worker per CPU by default
+// (-parallel 0); -parallel 1 forces the serial walk. Results are
 // bit-identical at any worker count.
 package main
 
@@ -53,7 +53,6 @@ type options struct {
 	eta        int
 	steps      int
 	parallel   int
-	scalarEval bool
 	doRepair   bool
 	verbose    bool
 	inputCSV   string
@@ -84,8 +83,7 @@ func main() {
 	flag.IntVar(&o.master, "master", 0, "master size (0 = paper default; benchmark mode)")
 	flag.IntVar(&o.eta, "eta", 0, "support threshold (0 = dataset default)")
 	flag.IntVar(&o.steps, "steps", 5000, "RLMiner training steps")
-	flag.IntVar(&o.parallel, "parallel", 0, "evaluation workers (0 = all CPUs, 1 = serial; results are identical at any setting)")
-	flag.BoolVar(&o.scalarEval, "scalar-eval", false, "force the retained row-at-a-time evaluation path (columnar engine off; results are identical)")
+	flag.IntVar(&o.parallel, "parallel", 0, "EnuMiner frontier workers (0 = all CPUs, 1 = serial; results are identical at any setting)")
 	flag.BoolVar(&o.doRepair, "repair", true, "apply rules and report results")
 	flag.BoolVar(&o.verbose, "v", false, "print every discovered rule")
 	flag.StringVar(&o.inputCSV, "input-csv", "", "input CSV path (enables CSV mode)")
@@ -159,7 +157,6 @@ func run(o options) (err error) {
 	}
 	p.TopK = o.k
 	p.Parallelism = o.parallel
-	p.ScalarEval = o.scalarEval
 	if o.mutate != "" {
 		if err := applyMutation(p, o.mutate); err != nil {
 			return err

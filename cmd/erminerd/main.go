@@ -63,23 +63,22 @@ import (
 )
 
 type options struct {
-	addr       string
-	dataset    string
-	noise      float64
-	seed       int64
-	input      int
-	master     int
-	eta        int
-	k          int
-	parallel   int
-	scalarEval bool
-	inputCSV   string
-	masterCSV  string
-	y, ym      string
-	match      string
-	rulesFile  string
-	mine       string
-	steps      int
+	addr      string
+	dataset   string
+	noise     float64
+	seed      int64
+	input     int
+	master    int
+	eta       int
+	k         int
+	parallel  int
+	inputCSV  string
+	masterCSV string
+	y, ym     string
+	match     string
+	rulesFile string
+	mine      string
+	steps     int
 
 	repairWorkers   int
 	queueDepth      int
@@ -108,8 +107,7 @@ func main() {
 	flag.IntVar(&o.master, "master", 0, "master size (0 = paper default; benchmark mode)")
 	flag.IntVar(&o.eta, "eta", 0, "support threshold (0 = dataset default)")
 	flag.IntVar(&o.k, "k", 50, "rule budget for mining jobs (top-K)")
-	flag.IntVar(&o.parallel, "parallel", 0, "evaluation workers (0 = all CPUs)")
-	flag.BoolVar(&o.scalarEval, "scalar-eval", false, "force the retained row-at-a-time evaluation path (columnar engine off; results are identical)")
+	flag.IntVar(&o.parallel, "parallel", 0, "EnuMiner frontier workers for startup and job mines (0 = all CPUs)")
 	flag.StringVar(&o.inputCSV, "input-csv", "", "input CSV path (enables CSV mode)")
 	flag.StringVar(&o.masterCSV, "master-csv", "", "master CSV path (CSV mode)")
 	flag.StringVar(&o.y, "y", "", "dependent input column (CSV mode)")
@@ -283,7 +281,6 @@ func run(o options) error {
 	}
 	p.TopK = o.k
 	p.Parallelism = o.parallel
-	p.ScalarEval = o.scalarEval
 	p.ShareIndexes()
 	log.Printf("problem: input %d×%d, master %d×%d, |M|=%d, η_s=%d, workers=%d",
 		p.Input.NumRows(), p.Input.Schema().Len(),

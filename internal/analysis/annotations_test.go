@@ -86,8 +86,6 @@ func TestHotpathInventory(t *testing.T) {
 			"(*Evaluator).filterCover",
 			"(*Evaluator).getCover",
 			"(*Evaluator).ruleProjection",
-			"cold:(*Evaluator).evaluateScalar",
-			"cold:(*Evaluator).fullScanCover",
 		},
 		"../measure/posting.go": {
 			"cold:(*ColumnIndex).sync",

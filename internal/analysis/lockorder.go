@@ -23,8 +23,7 @@ import (
 //   - a lock still held on a return path (the classic missed unlock on
 //     an early error return);
 //   - a second Lock/RLock of a mutex already held on the path
-//     (self-deadlock);
-//   - copying a value whose type contains a sync.Mutex/RWMutex.
+//     (self-deadlock).
 //
 // Propagated through the call graph, the same dataflow checks what
 // happens *between* functions, which a per-function pass cannot see:
@@ -57,15 +56,12 @@ import (
 // make the check quieter, never invent a finding.
 var LockOrder = &Check{
 	Name: "lockorder",
-	Doc:  "lockset dataflow: no guarded access after Unlock, lock held at return, double-lock or mutex copy; no lock-order cycles (ABBA), blocking or reacquisition while holding a mutex",
+	Doc:  "lockset dataflow: no guarded access after Unlock, lock held at return or double-lock; no lock-order cycles (ABBA), blocking or reacquisition while holding a mutex",
 	Run:  runLockOrder,
 }
 
 func runLockOrder(pass *Pass) {
 	pass.reportAll(pass.Module.locks[pass.Package])
-	for _, f := range pass.Files {
-		checkMutexCopies(pass, f)
-	}
 }
 
 // lockMode distinguishes write locks from read locks.
@@ -845,63 +841,4 @@ func (a *lockAnalysis) reportCycles() {
 			"lock-order cycle between %s: %s — potential ABBA deadlock; acquire these locks in one fixed order everywhere",
 			strings.Join(names, " and "), strings.Join(parts, "; "))
 	}
-}
-
-// checkMutexCopies flags assignments and call arguments that copy a
-// value whose type transitively contains a sync.Mutex or sync.RWMutex
-// (pointers don't copy their pointee, so *T is always fine). Fresh
-// composite literals and address-taking are not copies of a live lock.
-func checkMutexCopies(pass *Pass, f *ast.File) {
-	flag := func(e ast.Expr, what string) {
-		switch ast.Unparen(e).(type) {
-		case *ast.CompositeLit, *ast.UnaryExpr, *ast.CallExpr, *ast.FuncLit, *ast.BasicLit:
-			return // a fresh value or an address, not a copy of a live lock
-		}
-		tv, ok := pass.Info.Types[e]
-		if !ok || tv.Type == nil {
-			return
-		}
-		if containsMutex(tv.Type, 0) {
-			pass.Reportf(e.Pos(), "%s copies %s, whose type %s contains a mutex; copy a pointer to it instead", what, types.ExprString(e), tv.Type)
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				flag(rhs, "assignment")
-			}
-		case *ast.CallExpr:
-			if _, _, _, isLock := lockCall(pass.Package, n); isLock {
-				return true
-			}
-			for _, arg := range n.Args {
-				flag(arg, "call argument")
-			}
-		}
-		return true
-	})
-}
-
-// containsMutex reports whether t transitively contains a sync.Mutex or
-// sync.RWMutex by value. A *sync.Mutex field is fine: copying the
-// pointer shares the lock rather than forking it.
-func containsMutex(t types.Type, depth int) bool {
-	if depth > 10 {
-		return false
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr && isMutex(t) {
-		return true
-	}
-	switch t := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsMutex(t.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutex(t.Elem(), depth+1)
-	}
-	return false
 }

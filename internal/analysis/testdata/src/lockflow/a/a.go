@@ -100,33 +100,3 @@ func (r *rstore) upgrade() int {
 	r.mu.Unlock()
 	return v
 }
-
-type plainBox struct {
-	mu sync.Mutex
-	v  int
-}
-
-// copyBox forks a live lock by dereferencing.
-func copyBox(b *plainBox) int {
-	dup := *b // want `assignment copies \*b, whose type .*plainBox contains a mutex`
-	return dup.v
-}
-
-func sinkBox(plainBox) {}
-
-// passBox forks a live lock into a call argument.
-func passBox(b *plainBox) {
-	sinkBox(*b) // want `call argument copies \*b, whose type .*plainBox contains a mutex`
-}
-
-type ptrBox struct {
-	mu *sync.Mutex
-	v  int
-}
-
-// copyPtrBox copies a *sync.Mutex field, which shares the lock rather
-// than forking it, and passes.
-func copyPtrBox(b *ptrBox) int {
-	dup := *b
-	return dup.v
-}

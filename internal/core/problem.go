@@ -38,11 +38,11 @@ type Problem struct {
 	SupportThreshold int
 	// TopK is the rule budget K (Problem 1); 0 means the paper default.
 	TopK int
-	// Parallelism is the worker budget of the parallel evaluation
-	// engine: the miners' frontier fan-out and the evaluator's chunked
-	// full-relation scans. Zero selects runtime.NumCPU(); 1 forces the
-	// exact serial path. Every setting produces a bit-identical result
-	// (DESIGN.md decision 11).
+	// Parallelism is the worker budget of EnuMiner's level-synchronized
+	// frontier: how many evaluator shards expand candidates at once.
+	// Zero selects runtime.NumCPU(); 1 forces the exact serial walk.
+	// Every setting produces a bit-identical result (DESIGN.md decision
+	// 11).
 	Parallelism int
 	// IndexCache, when non-nil, is borrowed by every evaluator built
 	// for this problem, so mining, MDP reward queries and repair reuse
@@ -53,11 +53,6 @@ type Problem struct {
 	// built for this problem. See ShareIndexes. It must index the same
 	// relation as Input.
 	Columns *measure.ColumnIndex
-	// ScalarEval forces the retained row-at-a-time reference evaluation
-	// path on every evaluator built for this problem. The columnar
-	// default is bit-identical; the flag exists for the equivalence
-	// suites and as an operational escape hatch.
-	ScalarEval bool
 }
 
 // DefaultTopK is the paper's K = 50 (§V-A2).
@@ -121,8 +116,7 @@ func (p *Problem) ShareIndexes() *Problem {
 }
 
 // NewEvaluator builds the measure evaluator for the problem, borrowing
-// the shared index cache and columnar store when set and inheriting the
-// problem's worker budget for full-relation scans.
+// the shared index cache and columnar store when set.
 func (p *Problem) NewEvaluator() *measure.Evaluator {
 	var ev *measure.Evaluator
 	if p.IndexCache != nil {
@@ -133,8 +127,6 @@ func (p *Problem) NewEvaluator() *measure.Evaluator {
 	if p.Columns != nil && p.Columns.Relation() == p.Input {
 		ev.ShareColumns(p.Columns)
 	}
-	ev.Parallelism = p.Workers()
-	ev.Scalar = p.ScalarEval
 	return ev
 }
 

@@ -1,8 +1,13 @@
 package enuminer
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"erminer/internal/core"
@@ -35,18 +40,52 @@ func assertIdenticalResults(t *testing.T, want, got *core.ResultSet, workers int
 	}
 }
 
+// resultHash is the SHA-256 of everything a ResultSet pins: Explored,
+// then per rule its key, support, the Float64bits of certainty, quality
+// and utility, and its pattern-cover rows. Keys and covers are
+// length-prefixed so no two result sets share an encoding.
+func resultHash(rs *core.ResultSet) string {
+	le := binary.LittleEndian
+	buf := le.AppendUint64(nil, uint64(rs.Explored))
+	for _, mr := range rs.Rules {
+		key := mr.Rule.Key()
+		buf = le.AppendUint64(buf, uint64(len(key)))
+		buf = append(buf, key...)
+		m := mr.Measures
+		buf = le.AppendUint64(buf, uint64(m.Support))
+		buf = le.AppendUint64(buf, math.Float64bits(m.Certainty))
+		buf = le.AppendUint64(buf, math.Float64bits(m.Quality))
+		buf = le.AppendUint64(buf, math.Float64bits(m.Utility))
+		buf = le.AppendUint64(buf, uint64(len(m.PatternCover)))
+		for _, row := range m.PatternCover {
+			buf = le.AppendUint32(buf, uint32(row))
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestParallelMineDeterminism runs EnuMiner and EnuMinerH3 on the covid
 // and location benchmark generators at Parallelism 1, 2 and 8 and
-// requires identical ResultSets (rules, order, measures) and identical
-// Explored counts — the level-synchronized merge must reproduce the
-// serial walk exactly.
+// requires every ResultSet to hash to the constant recorded from the
+// serial walk of the retired row-at-a-time evaluator (DESIGN.md
+// decision 23): the columnar engine and the level-synchronized merge
+// must both reproduce that reference mine bit for bit. Under this
+// exploration cap the two miners' walks coincide, so they share one
+// constant per dataset.
 func TestParallelMineDeterminism(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The Go spec lets gc fuse x*y + z into one rounding on arm64,
+		// ppc64le, s390x and riscv64; amd64 fuses only math.FMA.
+		t.Skipf("golden bits are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
 	for _, tc := range []struct {
 		dataset       string
 		input, master int
+		want          string
 	}{
-		{"covid", 500, 600},
-		{"location", 400, 600},
+		{"covid", 500, 600, "b10e98200aacbcfea5642eb1f1e26ffca0094e2ad17b5a7bf25478ddc579907b"},
+		{"location", 400, 600, "ef444dc203bb735a069823460bb776316d41c7127177fe75cfd43d352ada2c97"},
 	} {
 		t.Run(tc.dataset, func(t *testing.T) {
 			w, err := datagen.ByName(tc.dataset)
@@ -58,43 +97,26 @@ func TestParallelMineDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			errgen.Inject(ds.Input, errgen.Config{Rate: 0.08, Rng: rand.New(rand.NewSource(2))})
-			mkProblem := func(workers int, scalar bool) *core.Problem {
-				return &core.Problem{
-					Input: ds.Input, Master: ds.Master, Match: ds.Match,
-					Y: ds.Y, Ym: ds.Ym,
-					SupportThreshold: ds.SupportThreshold,
-					TopK:             20,
-					Parallelism:      workers,
-					ScalarEval:       scalar,
-				}
-			}
 			for _, miner := range []struct {
 				name string
 				mk   func(Config) *Miner
 			}{{"EnuMiner", New}, {"EnuMinerH3", NewH3}} {
 				t.Run(miner.name, func(t *testing.T) {
-					cfg := Config{MaxExplored: 4000}
-					// The scalar serial walk is the reference; the
-					// columnar engine and every worker count must
-					// reproduce it bit for bit.
-					base, err := miner.mk(cfg).Mine(mkProblem(1, true))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if base.Explored == 0 || len(base.Rules) == 0 {
-						t.Fatalf("degenerate baseline: explored=%d rules=%d",
-							base.Explored, len(base.Rules))
-					}
-					for _, scalar := range []bool{true, false} {
-						for _, workers := range []int{1, 2, 8} {
-							if scalar && workers == 1 {
-								continue // the baseline itself
-							}
-							got, err := miner.mk(cfg).Mine(mkProblem(workers, scalar))
-							if err != nil {
-								t.Fatal(err)
-							}
-							assertIdenticalResults(t, base, got, workers)
+					for _, workers := range []int{1, 2, 8} {
+						p := &core.Problem{
+							Input: ds.Input, Master: ds.Master, Match: ds.Match,
+							Y: ds.Y, Ym: ds.Ym,
+							SupportThreshold: ds.SupportThreshold,
+							TopK:             20,
+							Parallelism:      workers,
+						}
+						got, err := miner.mk(Config{MaxExplored: 4000}).Mine(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if h := resultHash(got); h != tc.want {
+							t.Errorf("workers=%d: result hash = %s, want %s (explored %d, %d rules)",
+								workers, h, tc.want, got.Explored, len(got.Rules))
 						}
 					}
 				})

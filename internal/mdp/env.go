@@ -107,11 +107,10 @@ type Env struct {
 	problem *core.Problem
 	space   *core.Space
 	// ev serves the reward queries. It is built via Problem.NewEvaluator,
-	// so when the problem carries a shared index cache
-	// (Problem.ShareIndexes) the reward path reuses the master indexes
-	// already built by a miner or the repair engine — and its
-	// full-relation cover scans chunk across Problem.Workers()
-	// goroutines.
+	// so when the problem carries a shared index cache and columnar
+	// store (Problem.ShareIndexes) the reward path reuses the master
+	// indexes, posting lists and projections already built by a miner or
+	// the repair engine.
 	ev   *measure.Evaluator
 	norm float64 // utility normaliser
 

@@ -9,14 +9,6 @@ import (
 	"erminer/internal/rule"
 )
 
-// scalarOf derives a scalar-path evaluator over the same data as ev,
-// with a private cache so stats and indexes never interact.
-func scalarOf(input, master *relation.Relation, truth []int32) *Evaluator {
-	ev := NewEvaluator(input, master, truth)
-	ev.Scalar = true
-	return ev
-}
-
 // diffRules builds an adversarial rule set over the fig1 schemas:
 // every single-pair LHS, a multi-pair LHS, empty LHS, and patterns
 // exercising equality, negation and multi-code conditions on columns
@@ -62,15 +54,15 @@ func fig1DiffRules(t *testing.T, input *relation.Relation) []*rule.Rule {
 	return rules
 }
 
-// assertSameEval pins the columnar engine to the scalar reference on
-// one rule: full-scan Evaluate, PatternCover, a parent-cover-restricted
-// Evaluate and per-row Candidates must be bit-identical.
-func assertSameEval(t *testing.T, col, sc *Evaluator, r *rule.Rule, tag string) {
+// assertSameEval pins the engine to the oracle on one rule: full-scan
+// Evaluate, PatternCover, a parent-cover-restricted Evaluate and per-row
+// Candidates must be bit-identical.
+func assertSameEval(t *testing.T, col *Evaluator, o *oracle, r *rule.Rule, tag string) {
 	t.Helper()
-	want := sc.Evaluate(r, nil)
+	want := o.Evaluate(r, nil)
 	got := col.Evaluate(r, nil)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s: Evaluate(nil) diverged:\nscalar   %+v\ncolumnar %+v", tag, want, got)
+		t.Fatalf("%s: Evaluate(nil) diverged:\noracle   %+v\ncolumnar %+v", tag, want, got)
 	}
 	if pc := col.PatternCover(r, nil); !reflect.DeepEqual(pc, want.PatternCover) {
 		t.Fatalf("%s: PatternCover(nil) = %v, want %v", tag, pc, want.PatternCover)
@@ -82,13 +74,13 @@ func assertSameEval(t *testing.T, col, sc *Evaluator, r *rule.Rule, tag string) 
 			parent = append(parent, row)
 		}
 	}
-	want2 := sc.Evaluate(r, parent)
+	want2 := o.Evaluate(r, parent)
 	got2 := col.Evaluate(r, parent)
 	if !reflect.DeepEqual(want2, got2) {
-		t.Fatalf("%s: Evaluate(parent) diverged:\nscalar   %+v\ncolumnar %+v", tag, want2, got2)
+		t.Fatalf("%s: Evaluate(parent) diverged:\noracle   %+v\ncolumnar %+v", tag, want2, got2)
 	}
 	for row := 0; row < col.Input().NumRows(); row++ {
-		hw, okw := sc.Candidates(r, row)
+		hw, okw := o.Candidates(r, row)
 		hg, okg := col.Candidates(r, row)
 		if okw != okg || !reflect.DeepEqual(hw, hg) {
 			t.Fatalf("%s: Candidates(row %d) diverged: (%v,%v) vs (%v,%v)", tag, row, hw, okw, hg, okg)
@@ -103,15 +95,15 @@ func TestColumnarMatchesScalarFig1(t *testing.T) {
 	input, master := fig1()
 	truth := fig1Truth(t, input)
 	col := NewEvaluator(input, master, truth)
-	sc := scalarOf(input, master, truth)
+	o := newOracle(input, master, truth)
 	for i, r := range fig1DiffRules(t, input) {
-		assertSameEval(t, col, sc, r, fmt.Sprintf("fig1 rule %d", i))
+		assertSameEval(t, col, o, r, fmt.Sprintf("fig1 rule %d", i))
 	}
 	// Approximate-quality mode (nil truth) reads the observed Y column.
 	colA := NewEvaluator(input, master, nil)
-	scA := scalarOf(input, master, nil)
+	oA := newOracle(input, master, nil)
 	for i, r := range fig1DiffRules(t, input) {
-		assertSameEval(t, colA, scA, r, fmt.Sprintf("fig1/approx rule %d", i))
+		assertSameEval(t, colA, oA, r, fmt.Sprintf("fig1/approx rule %d", i))
 	}
 }
 
@@ -122,7 +114,7 @@ func TestColumnarMatchesScalarSynth(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		input, master := synthPair(1000, seed)
 		col := NewEvaluator(input, master, nil)
-		sc := scalarOf(input, master, nil)
+		o := newOracle(input, master, nil)
 		rules := synthRules(input)
 		// Add negated and multi-code guards over G.
 		gs := input.DomainCodes(2)
@@ -134,7 +126,7 @@ func TestColumnarMatchesScalarSynth(t *testing.T) {
 		)
 		for round := 0; round < 2; round++ {
 			for i, r := range rules {
-				assertSameEval(t, col, sc, r, fmt.Sprintf("seed %d round %d rule %d", seed, round, i))
+				assertSameEval(t, col, o, r, fmt.Sprintf("seed %d round %d rule %d", seed, round, i))
 			}
 		}
 	}
@@ -142,7 +134,7 @@ func TestColumnarMatchesScalarSynth(t *testing.T) {
 
 // TestColumnarInvalidatesOnMutation mutates the input after the caches
 // are warm and checks the columnar engine rebuilds: its results must
-// match a fresh scalar evaluator over the mutated relation.
+// match an oracle built over the mutated relation.
 func TestColumnarInvalidatesOnMutation(t *testing.T) {
 	input, master := synthPair(300, 11)
 	col := NewEvaluator(input, master, nil)
@@ -156,9 +148,9 @@ func TestColumnarInvalidatesOnMutation(t *testing.T) {
 	input.SetCode(0, 2, gs[len(gs)-1])
 	input.SetCode(1, 0, relation.Null)
 
-	sc := scalarOf(input, master, nil)
+	o := newOracle(input, master, nil)
 	for i, r := range rules {
-		assertSameEval(t, col, sc, r, fmt.Sprintf("post-mutation rule %d", i))
+		assertSameEval(t, col, o, r, fmt.Sprintf("post-mutation rule %d", i))
 	}
 }
 

@@ -81,10 +81,9 @@ func fuzzRules(rng *rand.Rand, input *relation.Relation) []*rule.Rule {
 }
 
 // FuzzEvaluateColumnar is the differential fuzz of the columnar engine:
-// for random relations and rules, Evaluate and PatternCover on the
-// columnar default must be bit-identical — measures, cover contents and
-// cover order — to the retained scalar reference path, on both full
-// scans and parent-cover-restricted evaluations.
+// for random relations and rules, Evaluate and PatternCover must be
+// bit-identical — measures, cover contents and cover order — to the
+// oracle, on both full scans and parent-cover-restricted evaluations.
 func FuzzEvaluateColumnar(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(20))
 	f.Add(int64(2), uint8(1), uint8(1))
@@ -95,13 +94,12 @@ func FuzzEvaluateColumnar(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		input, master := fuzzPair(rng, int(nIn), int(nMaster))
 		col := NewEvaluator(input, master, nil)
-		sc := NewEvaluator(input, master, nil)
-		sc.Scalar = true
+		o := newOracle(input, master, nil)
 		for i, r := range fuzzRules(rng, input) {
-			want := sc.Evaluate(r, nil)
+			want := o.Evaluate(r, nil)
 			got := col.Evaluate(r, nil)
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("rule %d (%s): Evaluate(nil) diverged:\nscalar   %+v\ncolumnar %+v",
+				t.Fatalf("rule %d (%s): Evaluate(nil) diverged:\noracle   %+v\ncolumnar %+v",
 					i, r.Key(), want, got)
 			}
 			if pc := col.PatternCover(r, nil); !reflect.DeepEqual(pc, want.PatternCover) {
@@ -113,10 +111,10 @@ func FuzzEvaluateColumnar(f *testing.F) {
 					parent = append(parent, row)
 				}
 			}
-			want2 := sc.Evaluate(r, parent)
+			want2 := o.Evaluate(r, parent)
 			got2 := col.Evaluate(r, parent)
 			if !reflect.DeepEqual(want2, got2) {
-				t.Fatalf("rule %d (%s): Evaluate(parent) diverged:\nscalar   %+v\ncolumnar %+v",
+				t.Fatalf("rule %d (%s): Evaluate(parent) diverged:\noracle   %+v\ncolumnar %+v",
 					i, r.Key(), want2, got2)
 			}
 			col.ReleaseCover(got.PatternCover)

@@ -1,7 +1,7 @@
 // Group-id projection of the columnar evaluation engine (DESIGN.md
 // decision 16): one pass over the input relation assigns every row a
-// dense int32 group id per rule LHS, replacing the per-row string key
-// build and map probe of the scalar path with two array loads.
+// dense int32 group id per rule LHS, so evaluation reads two arrays per
+// row instead of building a string key and probing the master index.
 
 package measure
 
@@ -64,8 +64,9 @@ func buildProjection(in *relation.Relation, lhs []rule.AttrPair, idx masterIndex
 // appendLHSKey appends the encoded LHS key of one row — the input-side
 // attributes of each pair when master is false, the master-side ones
 // when true — returning ok=false when any cell is Null. It is the
-// single key builder shared by the master index, the scalar input key
-// and the group projection, so the three can never drift apart.
+// single key builder shared by the master index and the group
+// projection (and by the test oracle's input key), so they can never
+// drift apart.
 //
 //ermvet:hotpath
 func appendLHSKey(buf []byte, rel *relation.Relation, row int, lhs []rule.AttrPair, master bool) ([]byte, bool) {

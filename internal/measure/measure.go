@@ -11,13 +11,11 @@
 //     pattern;
 //   - a parallel evaluation layer: the index cache is a thread-safe,
 //     build-once structure (IndexCache) that N evaluator shards borrow
-//     (Shard), and full-relation pattern scans chunk across goroutines
-//     (Parallelism), all with bit-identical results to a serial run.
+//     (Shard), with bit-identical results to a serial run.
 package measure
 
 import (
 	"math"
-	"sync"
 
 	"erminer/internal/relation"
 	"erminer/internal/rule"
@@ -84,11 +82,11 @@ type masterIndex map[string]*Hist
 // Evaluator evaluates rules over a fixed (input, master, truth) triple.
 // It caches master indexes keyed by the master attribute list, which is
 // what makes repeated evaluation across thousands of candidate rules
-// tractable (DESIGN.md decision 2). By default rules are evaluated on
-// the columnar engine — posting-list cover intersections plus dense
-// group-id projections (posting.go, groups.go; DESIGN.md decision 16) —
-// which is bit-identical to the retained scalar path selectable with
-// Scalar.
+// tractable (DESIGN.md decision 2). Rules are evaluated on the columnar
+// engine — posting-list cover intersections plus dense group-id
+// projections (posting.go, groups.go; DESIGN.md decision 16) — which
+// the differential and fuzz suites pin bit for bit against a
+// row-at-a-time oracle kept in the tests (DESIGN.md decision 23).
 //
 // An Evaluator is not safe for concurrent use, but evaluators sharing
 // one IndexCache may run concurrently with each other: use Shard to
@@ -110,10 +108,11 @@ type Evaluator struct {
 	// shards and is safe for concurrent use; unlike cache it is bound to
 	// one input relation (see ShareColumns).
 	columns *ColumnIndex
-	// keyBuf is reused across input-key constructions to avoid
-	// allocation. It must never be shared with idxKeyBuf: index() can
-	// run between an inputKey() call and the use of its result, so a
-	// common buffer would corrupt cache keys (see TestKeyBufNoAliasing).
+	// keyBuf is the reusable buffer for projection cache keys. It must
+	// never be shared with idxKeyBuf: ColumnIndex.projection reads its
+	// key again after the build closure runs (torn-build retry), so an
+	// index() lookup reached while the key is live would rewrite it under
+	// the projection cache (see TestKeyBufNoAliasing).
 	keyBuf []byte
 	// idxKeyBuf is the separate reusable buffer for index cache keys.
 	idxKeyBuf []byte
@@ -140,20 +139,9 @@ type Evaluator struct {
 	// isectA/isectB are the ping-pong buffers of the intersection chain.
 	isectA, isectB []int32
 
-	// Parallelism chunks full-relation pattern scans — Evaluate and
-	// PatternCover with a nil parent cover — across this many
-	// goroutines. Zero or one scans serially; chunk results are merged
-	// in row order, so every setting yields bit-identical output. The
-	// chunked scan belongs to the scalar engine; the columnar engine
-	// replaces it with posting-list intersections. Set it only from the
-	// goroutine that owns the evaluator.
+	// Deprecated: has no effect; nothing reads it. It stays only
+	// because bench/replay.go still assigns it.
 	Parallelism int
-
-	// Scalar forces the retained row-at-a-time reference path. The
-	// columnar default is bit-identical (pinned by the differential and
-	// fuzz suites); the flag exists for those suites and as an
-	// operational escape hatch.
-	Scalar bool
 
 	// Stats counts evaluator work for the ablation benchmarks.
 	Stats Stats
@@ -165,11 +153,11 @@ type Stats struct {
 	Evaluations int
 	// IndexBuilds is the number of master indexes built (cache misses).
 	IndexBuilds int
-	// TuplesScanned is the total number of logical input tuples a scan
-	// visits (full-relation scans count NumRows, cover-restricted scans
-	// count the parent cover size). The columnar engine reports the same
-	// totals as the scalar one even though its posting-list intersections
-	// touch fewer rows physically, so ablation comparisons stay stable.
+	// TuplesScanned is the total number of logical input tuples an
+	// evaluation covers: NumRows for a full-relation evaluation, the
+	// parent cover size for a cover-restricted one. It counts logical
+	// rows, not rows touched: posting-list intersections read fewer, so
+	// the figure depends only on the data shape and the rules evaluated.
 	TuplesScanned int
 }
 
@@ -205,9 +193,8 @@ func NewSharedEvaluator(input, master *relation.Relation, truth []int32, cache *
 // Shard returns a lightweight evaluator that borrows e's relations,
 // truth column, index cache and columnar store but owns its key
 // buffers, scratch, freelist and Stats, so it can run on a different
-// goroutine than e and than any other shard. Shards scan serially
-// (Parallelism 1): the caller owns the cross-shard fan-out. Merge shard
-// Stats back with Stats.Add.
+// goroutine than e and than any other shard. The caller owns the
+// cross-shard fan-out. Merge shard Stats back with Stats.Add.
 func (e *Evaluator) Shard() *Evaluator {
 	return &Evaluator{
 		input:   e.input,
@@ -215,7 +202,6 @@ func (e *Evaluator) Shard() *Evaluator {
 		truth:   e.truth,
 		cache:   e.cache,
 		columns: e.columns,
-		Scalar:  e.Scalar,
 	}
 }
 
@@ -247,8 +233,8 @@ func (e *Evaluator) Master() *relation.Relation { return e.master }
 
 // index returns the master index for the rule's LHS master attributes and
 // dependent master attribute, building and caching it on first use. The
-// cache key lives in idxKeyBuf, never keyBuf, so an interleaved
-// inputKey() cannot corrupt it (and vice versa).
+// cache key lives in idxKeyBuf, never keyBuf, so the projection key
+// ruleProjection builds cannot corrupt it (and vice versa).
 func (e *Evaluator) index(r *rule.Rule) masterIndex {
 	e.idxKeyBuf = e.idxKeyBuf[:0]
 	for _, p := range r.LHS {
@@ -295,18 +281,6 @@ func appendCode(b []byte, c int32) []byte {
 	return append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 }
 
-// inputKey encodes t[X] for the rule's LHS; ok is false when any LHS cell
-// is Null (a tuple with a missing LHS value cannot match any master tuple).
-func (e *Evaluator) inputKey(r *rule.Rule, row int) (string, bool) {
-	var ok bool
-	e.keyBuf, ok = appendLHSKey(e.keyBuf[:0], e.input, row, r.LHS, false)
-	if !ok {
-		return "", false
-	}
-	//ermvet:ignore allocbudget scalar path only; the columnar path probes by group id, never by string key
-	return string(e.keyBuf), true
-}
-
 // Candidates returns the candidate-fix histogram Cand(t, φ) for input row,
 // or ok=false when the tuple does not match t_p or joins no master tuple.
 func (e *Evaluator) Candidates(r *rule.Rule, row int) (*Hist, bool) {
@@ -326,28 +300,12 @@ func (e *Evaluator) CoveredCandidates(r *rule.Rule, row int) (*Hist, bool) {
 	if len(r.LHS) == 0 {
 		return nil, false
 	}
-	if e.Scalar {
-		key, ok := e.inputKey(r, row)
-		if !ok {
-			return nil, false
-		}
-		h, ok := e.index(r)[key]
-		return h, ok
-	}
 	gp := e.ruleProjection(r)
 	gid := gp.rowGroup[row]
 	if gid < 0 || gp.hists[gid] == nil {
 		return nil, false
 	}
 	return gp.hists[gid], true
-}
-
-// truthCode returns the ground-truth Y code for input row.
-func (e *Evaluator) truthCode(r *rule.Rule, row int) int32 {
-	if e.truth != nil {
-		return e.truth[row]
-	}
-	return e.input.Code(row, r.Y)
 }
 
 // Evaluate computes the rule's measures over the given parent cover
@@ -364,9 +322,6 @@ func (e *Evaluator) truthCode(r *rule.Rule, row int) int32 {
 //
 //ermvet:hotpath
 func (e *Evaluator) Evaluate(r *rule.Rule, parentCover []int32) Measures {
-	if e.Scalar {
-		return e.evaluateScalar(r, parentCover)
-	}
 	e.Stats.Evaluations++
 
 	var cover []int32
@@ -410,82 +365,12 @@ func (e *Evaluator) Evaluate(r *rule.Rule, parentCover []int32) Measures {
 	return m
 }
 
-// evaluateScalar is the retained row-at-a-time reference implementation
-// of Evaluate: a MatchesPattern cover scan followed by a per-row string
-// key build and master-index map probe. The differential and fuzz
-// suites pin the columnar path against it.
-//
-//ermvet:coldpath retained row-at-a-time reference engine; only the differential and fuzz suites select it
-func (e *Evaluator) evaluateScalar(r *rule.Rule, parentCover []int32) Measures {
-	e.Stats.Evaluations++
-	in := e.input
-
-	var cover []int32
-	if parentCover == nil {
-		cover = e.fullScanCover(r)
-		e.Stats.TuplesScanned += in.NumRows()
-	} else {
-		cover = make([]int32, 0, len(parentCover))
-		for _, row := range parentCover {
-			if r.MatchesPattern(in, int(row)) {
-				cover = append(cover, row)
-			}
-		}
-		e.Stats.TuplesScanned += len(parentCover)
-	}
-
-	m := Measures{PatternCover: cover}
-	if len(r.LHS) == 0 {
-		return m
-	}
-
-	idx := e.index(r)
-	var sumC, sumK float64
-	for _, row := range cover {
-		key, ok := e.inputKey(r, int(row))
-		if !ok {
-			continue
-		}
-		h, ok := idx[key]
-		if !ok {
-			continue
-		}
-		m.Support++
-		sumC += h.Certainty()
-		if h.Arg == e.truthCode(r, int(row)) {
-			sumK++
-		} else {
-			sumK--
-		}
-	}
-	if m.Support > 0 {
-		m.Certainty = sumC / float64(m.Support)
-		m.Quality = sumK / float64(m.Support)
-		m.Utility = Utility(m.Support, m.Certainty, m.Quality)
-	}
-	return m
-}
-
 // PatternCover filters the parent cover (nil = all input rows) down to
 // the rows matching the rule's pattern, without evaluating measures. The
 // MDP environment uses it to rebuild a node's cover cheaply when the
 // rule's measures come from the reward cache R_Σ. Like Evaluate's cover,
 // the result may be handed back through ReleaseCover.
 func (e *Evaluator) PatternCover(r *rule.Rule, parentCover []int32) []int32 {
-	if e.Scalar {
-		in := e.input
-		if parentCover == nil {
-			return e.fullScanCover(r)
-		}
-		//ermvet:ignore allocbudget scalar reference path; columnar covers come from the freelist
-		out := make([]int32, 0, len(parentCover))
-		for _, row := range parentCover {
-			if r.MatchesPattern(in, int(row)) {
-				out = append(out, row)
-			}
-		}
-		return out
-	}
 	if parentCover == nil {
 		return e.columnarFullCover(r)
 	}
@@ -529,9 +414,9 @@ func (e *Evaluator) ReleaseCover(c []int32) {
 
 // filterCover restricts a non-nil parent cover to the rows matching the
 // rule's pattern. The parent cover is caller-ordered (in practice
-// ascending), so the columnar engine keeps the row loop here — posting
-// intersections apply only to full-relation scans — which preserves the
-// scalar path's ordering semantics exactly.
+// ascending), so the engine keeps the row loop here — posting
+// intersections apply only to full-relation scans — and the output
+// keeps the parent cover's order exactly.
 //
 //ermvet:hotpath
 func (e *Evaluator) filterCover(r *rule.Rule, parentCover []int32) []int32 {
@@ -547,8 +432,8 @@ func (e *Evaluator) filterCover(r *rule.Rule, parentCover []int32) []int32 {
 
 // columnarFullCover computes the whole-relation pattern cover as a
 // k-way intersection of per-condition posting lists, smallest list
-// first. The output is ascending row ids — bit-identical to the scalar
-// full scan.
+// first. The output is ascending row ids — bit-identical to a
+// row-by-row MatchesPattern scan of the relation.
 //
 //ermvet:hotpath
 func (e *Evaluator) columnarFullCover(r *rule.Rule) []int32 {
@@ -628,61 +513,6 @@ func (e *Evaluator) ruleProjection(r *rule.Rule) *groupProjection {
 	e.memoRule, e.memoProj, e.memoVersion = r, gp, e.input.Version()
 	e.memoMasterVersion = e.master.Version()
 	return gp
-}
-
-// minScanChunk bounds the per-goroutine work of a chunked full-relation
-// scan: below this many rows per worker the goroutine overhead exceeds
-// the scan itself, so the effective worker count is capped.
-const minScanChunk = 512
-
-// fullScanCover returns the rows of the whole input matching the rule's
-// pattern. With Parallelism > 1 the row range is chunked across
-// goroutines and the per-chunk results are concatenated in row order,
-// so the output is identical to the serial scan bit for bit.
-//
-//ermvet:coldpath scalar reference engine scan; the columnar path computes covers from posting lists
-func (e *Evaluator) fullScanCover(r *rule.Rule) []int32 {
-	in := e.input
-	n := in.NumRows()
-	workers := e.Parallelism
-	if max := n / minScanChunk; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		out := make([]int32, 0, n)
-		for row := 0; row < n; row++ {
-			if r.MatchesPattern(in, row) {
-				out = append(out, int32(row))
-			}
-		}
-		return out
-	}
-	chunks := make([][]int32, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			part := make([]int32, 0, hi-lo)
-			for row := lo; row < hi; row++ {
-				if r.MatchesPattern(in, row) {
-					part = append(part, int32(row))
-				}
-			}
-			chunks[w] = part
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]int32, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // Utility computes U = (log S)² · (C + Q) (natural log, paper §II-B4).

@@ -13,7 +13,7 @@ import (
 
 // synthPair builds an n-row input / master pair with a planted
 // dependency Y = f(A, B) and a pattern attribute G, large enough to
-// trigger chunked scans and give concurrent shards real work.
+// give concurrent shards real work.
 func synthPair(n int, seed int64) (input, master *relation.Relation) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := relation.NewPool()
@@ -67,30 +67,26 @@ func synthRules(input *relation.Relation) []*rule.Rule {
 	return rules
 }
 
-// TestKeyBufNoAliasing is the regression test for the latent hazard
-// where index() and inputKey() shared e.keyBuf: an index construction
-// interleaved between an inputKey call and the use of its result would
-// have rewritten the buffer under it. The two paths now own separate
-// buffers.
+// TestKeyBufNoAliasing pins that the projection cache key (keyBuf) and
+// the master-index cache key (idxKeyBuf) own separate buffers.
+// ruleProjection fills both, and ColumnIndex.projection re-reads its key
+// after the build, so an index() call must never rewrite it.
 func TestKeyBufNoAliasing(t *testing.T) {
 	input, master := fig1()
 	ev := NewEvaluator(input, master, nil)
 	r := rule.New([]rule.AttrPair{{Input: 1, Master: 2}}, 6, 7, nil)
 
-	key1, ok := ev.inputKey(r, 1)
-	if !ok {
-		t.Fatal("inputKey not ok on row 1")
+	ev.ruleProjection(r)
+	if len(ev.keyBuf) == 0 || len(ev.idxKeyBuf) == 0 {
+		t.Fatal("ruleProjection left a key buffer empty")
 	}
-	idx := ev.index(r) // interleaved index construction
-	key2, ok := ev.inputKey(r, 1)
-	if !ok || key1 != key2 {
-		t.Fatalf("inputKey unstable across index(): %q vs %q", key1, key2)
+	if &ev.keyBuf[0] == &ev.idxKeyBuf[0] {
+		t.Fatal("projection and index keys share one buffer backing array")
 	}
-	if _, ok := idx[key1]; !ok {
-		t.Fatalf("input key %q no longer addresses the index", key1)
-	}
-	if len(ev.keyBuf) > 0 && len(ev.idxKeyBuf) > 0 && &ev.keyBuf[0] == &ev.idxKeyBuf[0] {
-		t.Fatal("inputKey and index share one buffer backing array")
+	want := string(appendGroupKey(nil, r))
+	ev.index(rule.New([]rule.AttrPair{{Input: 1, Master: 2}, {Input: 7, Master: 8}}, 6, 7, nil))
+	if got := string(ev.keyBuf); got != want {
+		t.Fatalf("index() rewrote the projection key: %q, want %q", got, want)
 	}
 
 	// Interleaving rules of different LHS lengths must match fresh
@@ -183,30 +179,5 @@ func TestShardConcurrency(t *testing.T) {
 	}
 	if ev.Cache().Len() != merged.IndexBuilds {
 		t.Fatalf("cache holds %d indexes, shards report %d builds", ev.Cache().Len(), merged.IndexBuilds)
-	}
-}
-
-// TestParallelScanDeterminism checks that chunked full-relation scans
-// (Evaluate and PatternCover with a nil parent cover) return exactly
-// the serial result at every worker count, including counts that do not
-// divide the row count.
-func TestParallelScanDeterminism(t *testing.T) {
-	input, master := synthPair(4096+37, 11)
-	rules := synthRules(input)
-	for _, workers := range []int{2, 3, 8, 64} {
-		par := NewEvaluator(input, master, nil)
-		par.Parallelism = workers
-		serial := NewEvaluator(input, master, nil)
-		for i, r := range rules {
-			if !reflect.DeepEqual(par.Evaluate(r, nil), serial.Evaluate(r, nil)) {
-				t.Fatalf("workers=%d rule %d: Evaluate diverged", workers, i)
-			}
-			if !reflect.DeepEqual(par.PatternCover(r, nil), serial.PatternCover(r, nil)) {
-				t.Fatalf("workers=%d rule %d: PatternCover diverged", workers, i)
-			}
-		}
-		if par.Stats != serial.Stats {
-			t.Fatalf("workers=%d: stats diverged: %+v vs %+v", workers, par.Stats, serial.Stats)
-		}
 	}
 }

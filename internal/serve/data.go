@@ -95,8 +95,6 @@ type patchEnv struct {
 	cache         *measure.IndexCache
 	columns       *measure.ColumnIndex
 	etaS          int
-	workers       int
-	scalar        bool
 }
 
 // rel returns the patched relation.
@@ -209,8 +207,6 @@ func (s *Server) applyPatch(req DataPatchRequest, master bool) (relation.ChangeS
 		cache:   s.p.IndexCache,
 		columns: s.p.Columns,
 		etaS:    s.p.SupportThreshold,
-		workers: s.p.Workers(),
-		scalar:  s.p.ScalarEval,
 	}
 	rel := env.rel(master)
 	schema := rel.Schema()
@@ -268,8 +264,6 @@ func (s *Server) revalidateAfter(cs relation.ChangeSet, env patchEnv, master boo
 	if env.columns != nil {
 		ev.ShareColumns(env.columns)
 	}
-	ev.Parallelism = env.workers
-	ev.Scalar = env.scalar
 	kept, revalidated, dropped := repair.Revalidate(ev, rs.rules, env.etaS, func(r *rule.Rule) bool {
 		return repair.TouchedBy(r, cs, master)
 	})

@@ -115,8 +115,6 @@ func (s *Server) runRules(ctx context.Context, rel *relation.Relation, rs *ruleS
 	//ermvet:ignore guardedby evaluation reads immutable master codes and the thread-safe IndexCache only; dictionaries are untouched (decision 12)
 	p := s.p
 	ev := measure.NewSharedEvaluator(rel, p.Master, nil, p.IndexCache)
-	ev.Parallelism = p.Workers()
-	ev.Scalar = p.ScalarEval
 	res, err := repair.ApplyContext(ctx, ev, rs.list)
 	s.metrics.indexBuilds.Add(int64(ev.Stats.IndexBuilds))
 	return ev, res, err

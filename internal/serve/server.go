@@ -361,8 +361,7 @@ func (s *Server) cloneProblem() *core.Problem {
 		IndexCache:       measure.NewIndexCache(),
 		// The columnar store is bound to the cloned input: sharing the
 		// serving problem's would index the wrong relation.
-		Columns:    measure.NewColumnIndex(input),
-		ScalarEval: s.p.ScalarEval,
+		Columns: measure.NewColumnIndex(input),
 	}
 }
 

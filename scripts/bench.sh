@@ -2,14 +2,12 @@
 # bench.sh — record the benchmark baselines into BENCH_hotpath.json,
 # BENCH_parallel.json and BENCH_delta.json.
 #
-# Runs the evaluation hot-path benchmarks — BenchmarkEvaluate/{columnar,
-# scalar} in bench_test.go and BenchmarkRepairThroughput in
-# internal/serve — and rewrites BENCH_hotpath.json from their output
-# (ns/op, allocs/op, req/s, p99_ms, plus the columnar-over-scalar
-# speedup). It then runs the parallel-engine benchmarks
-# (BenchmarkEvaluateParallel/{columnar,scalar} and
-# BenchmarkEnuMinerParallel) and rewrites BENCH_parallel.json. Run it on
-# a quiet machine after touching internal/measure or the parallel
+# Runs the evaluation hot-path benchmarks — BenchmarkEvaluate in
+# bench_test.go and BenchmarkRepairThroughput in internal/serve — and
+# rewrites BENCH_hotpath.json from their output (ns/op, allocs/op,
+# req/s, p99_ms). It then runs the parallel-frontier benchmark
+# (BenchmarkEnuMinerParallel) and rewrites BENCH_parallel.json. Run it
+# on a quiet machine after touching internal/measure or the parallel
 # frontier and commit the results. CI does not run this script; it runs
 # the hot-path benchmarks at -benchtime=1x as a smoke and gates on
 # TestEvaluateZeroAlloc instead (see .github/workflows/ci.yml).
@@ -104,28 +102,25 @@ go test -run '^$' -bench 'BenchmarkEvaluate$' -benchmem -benchtime "$benchtime" 
 echo "== go test -bench BenchmarkRepairThroughput ./internal/serve" >&2
 go test -run '^$' -bench 'BenchmarkRepairThroughput$' -benchmem -benchtime "$benchtime" ./internal/serve | tee -a "$raw" >&2
 
-col_ns=$(metric 'BenchmarkEvaluate/columnar' 'ns/op')
-col_allocs=$(metric 'BenchmarkEvaluate/columnar' 'allocs/op')
-col_iters=$(awk '$1 ~ "^BenchmarkEvaluate/columnar(-[0-9]+)?$" { print $2; exit }' "$raw")
-sc_ns=$(metric 'BenchmarkEvaluate/scalar' 'ns/op')
-sc_allocs=$(metric 'BenchmarkEvaluate/scalar' 'allocs/op')
+ev_ns=$(metric 'BenchmarkEvaluate' 'ns/op')
+ev_allocs=$(metric 'BenchmarkEvaluate' 'allocs/op')
+ev_iters=$(awk '$1 ~ "^BenchmarkEvaluate(-[0-9]+)?$" { print $2; exit }' "$raw")
 rt_ns=$(metric 'BenchmarkRepairThroughput' 'ns/op')
 rt_allocs=$(metric 'BenchmarkRepairThroughput' 'allocs/op')
 rt_rps=$(metric 'BenchmarkRepairThroughput' 'req/s')
 rt_p99=$(metric 'BenchmarkRepairThroughput' 'p99_ms')
 
-for v in "$col_ns" "$col_allocs" "$sc_ns" "$rt_ns" "$rt_rps" "$rt_p99"; do
+for v in "$ev_ns" "$ev_allocs" "$rt_ns" "$rt_rps" "$rt_p99"; do
     if [ -z "$v" ]; then
         echo "bench.sh: failed to parse a metric out of the benchmark output" >&2
         exit 1
     fi
 done
-speedup=$(awk -v s="$sc_ns" -v c="$col_ns" 'BEGIN { printf "%.1f", s / c }')
 cpu=$(awk -F': ' '/^cpu:/ { print $2; exit }' "$raw")
 
 cat > "$out" <<EOF
 {
-  "description": "Baseline for the columnar posting-list evaluation engine (DESIGN.md decision 16). BenchmarkEvaluate/columnar is the steady-state rule-evaluation hot path shared by both miners and the serving layer: warm posting lists, dense group-id projection, recycled cover buffer; its allocs_per_op must be 0 (CI gates on TestEvaluateZeroAlloc). BenchmarkEvaluate/scalar is the retained row-at-a-time reference path (-scalar-eval), verified bit-identical by the differential and fuzz tests. BenchmarkRepairThroughput drives the erminerd POST /v1/repair handler end to end; its allocations are request-path JSON and relation building, not evaluation.",
+  "description": "Baseline for the columnar posting-list evaluation engine (DESIGN.md decision 16). BenchmarkEvaluate is the steady-state rule-evaluation hot path shared by both miners and the serving layer: warm posting lists, dense group-id projection, recycled cover buffer; its allocs_per_op must be 0 (CI gates on TestEvaluateZeroAlloc and the scripts/check.sh cross-check). BenchmarkRepairThroughput drives the erminerd POST /v1/repair handler end to end; its allocations are request-path JSON and relation building, not evaluation.",
   "recorded": "$(date +%Y-%m-%d)",
   "recorded_with": "scripts/bench.sh (benchtime $benchtime)",
   "host": {
@@ -136,16 +131,11 @@ cat > "$out" <<EOF
     "cores": $(nproc)
   },
   "benchmarks": {
-    "BenchmarkEvaluate/columnar": {
+    "BenchmarkEvaluate": {
       "dataset": "covid 2500x1824, city+confirmed_date -> infection_case, full scan",
-      "iterations": ${col_iters:-0},
-      "ns_per_op": $col_ns,
-      "allocs_per_op": $col_allocs
-    },
-    "BenchmarkEvaluate/scalar": {
-      "dataset": "covid 2500x1824, city+confirmed_date -> infection_case, full scan",
-      "ns_per_op": $sc_ns,
-      "allocs_per_op": $sc_allocs
+      "iterations": ${ev_iters:-0},
+      "ns_per_op": $ev_ns,
+      "allocs_per_op": $ev_allocs
     },
     "BenchmarkRepairThroughput": {
       "dataset": "district/area -> postcode 1200x1200, 64-tuple batches, 2 rules",
@@ -154,27 +144,20 @@ cat > "$out" <<EOF
       "req_per_s": $rt_rps,
       "p99_ms": $rt_p99
     }
-  },
-  "columnar_speedup_over_scalar": $speedup
+  }
 }
 EOF
 
-echo "wrote $out (columnar ${col_ns} ns/op, ${col_allocs} allocs/op; ${speedup}x over scalar; serve ${rt_rps} req/s, p99 ${rt_p99} ms)" >&2
+echo "wrote $out (Evaluate ${ev_ns} ns/op, ${ev_allocs} allocs/op; serve ${rt_rps} req/s, p99 ${rt_p99} ms)" >&2
 
-echo "== go test -bench 'EvaluateParallel|EnuMinerParallel' (-benchtime $benchtime)" >&2
-go test -run '^$' -bench 'BenchmarkEvaluateParallel$|BenchmarkEnuMinerParallel$' -benchtime "$benchtime" . | tee -a "$raw" >&2
+echo "== go test -bench EnuMinerParallel (-benchtime $benchtime)" >&2
+go test -run '^$' -bench 'BenchmarkEnuMinerParallel$' -benchtime "$benchtime" . | tee -a "$raw" >&2
 
-ep_col_ns=$(metric 'BenchmarkEvaluateParallel/columnar' 'ns/op')
-ep_col_speedup=$(metric 'BenchmarkEvaluateParallel/columnar' 'speedup')
-ep_col_iters=$(awk '$1 ~ "^BenchmarkEvaluateParallel/columnar(-[0-9]+)?$" { print $2; exit }' "$raw")
-ep_sc_ns=$(metric 'BenchmarkEvaluateParallel/scalar' 'ns/op')
-ep_sc_speedup=$(metric 'BenchmarkEvaluateParallel/scalar' 'speedup')
-ep_sc_iters=$(awk '$1 ~ "^BenchmarkEvaluateParallel/scalar(-[0-9]+)?$" { print $2; exit }' "$raw")
 em_ns=$(metric 'BenchmarkEnuMinerParallel' 'ns/op')
 em_speedup=$(metric 'BenchmarkEnuMinerParallel' 'speedup')
 em_iters=$(awk '$1 ~ "^BenchmarkEnuMinerParallel(-[0-9]+)?$" { print $2; exit }' "$raw")
 
-for v in "$ep_col_ns" "$ep_col_speedup" "$ep_sc_ns" "$ep_sc_speedup" "$em_ns" "$em_speedup"; do
+for v in "$em_ns" "$em_speedup"; do
     if [ -z "$v" ]; then
         echo "bench.sh: failed to parse a parallel-benchmark metric" >&2
         exit 1
@@ -184,7 +167,7 @@ done
 pout=BENCH_parallel.json
 cat > "$pout" <<EOF
 {
-  "description": "Baseline for the parallel rule-evaluation engine benchmarks (BenchmarkEvaluateParallel/{columnar,scalar}, BenchmarkEnuMinerParallel in bench_test.go). The speedup metric is serial-path (Parallelism 1) wall clock divided by all-CPU wall clock on the same problem; serial and parallel results are verified bit-identical (TestParallelMineDeterminism, TestParallelScanDeterminism). The columnar subbench records the posting-list default engine (DESIGN.md decision 16); the scalar subbench records the retained chunked row-at-a-time scan (-scalar-eval).",
+  "description": "Baseline for the parallel EnuMiner frontier (BenchmarkEnuMinerParallel in bench_test.go). The speedup metric is serial-walk (Parallelism 1) wall clock divided by all-CPU wall clock on the same problem; serial and parallel results are verified bit-identical (TestParallelMineDeterminism, TestParallelCapDeterminism).",
   "recorded": "$(date +%Y-%m-%d)",
   "recorded_with": "scripts/bench.sh (benchtime $benchtime)",
   "host": {
@@ -194,22 +177,7 @@ cat > "$pout" <<EOF
     "cpu": "${cpu:-unknown}",
     "cores": $(nproc)
   },
-  "note": "On a 1-core host Problem.Workers() resolves to 1 and the engine deliberately takes the exact serial path, so true speedup is 1.0 by construction; the reported number is measurement noise around that. The bias is largest for very short ops (the columnar scan, tens of microseconds): the serial baseline is the fastest of 5 runs while the parallel figure is the mean over all iterations, so a noisy host drags the ratio well below 1. Re-record on a quiet 4+ core runner to observe the >= 2x scalar-scan speedup the chunked engine targets; the parallel code paths themselves are exercised on any machine by the determinism and race tests, which force worker counts of 2-8 explicitly.",
   "benchmarks": {
-    "BenchmarkEvaluateParallel/columnar": {
-      "dataset": "covid 40000x1824, full pattern scan",
-      "iterations": ${ep_col_iters:-0},
-      "ns_per_op": $ep_col_ns,
-      "speedup": $ep_col_speedup,
-      "cpus": $(nproc)
-    },
-    "BenchmarkEvaluateParallel/scalar": {
-      "dataset": "covid 40000x1824, full pattern scan",
-      "iterations": ${ep_sc_iters:-0},
-      "ns_per_op": $ep_sc_ns,
-      "speedup": $ep_sc_speedup,
-      "cpus": $(nproc)
-    },
     "BenchmarkEnuMinerParallel": {
       "dataset": "covid 2500x1824, EnuMinerH3, ~7242 candidates",
       "iterations": ${em_iters:-0},
@@ -221,6 +189,6 @@ cat > "$pout" <<EOF
 }
 EOF
 
-echo "wrote $pout (columnar scan ${ep_col_ns} ns/op speedup ${ep_col_speedup}; scalar scan ${ep_sc_ns} ns/op speedup ${ep_sc_speedup}; enuminer ${em_ns} ns/op speedup ${em_speedup})" >&2
+echo "wrote $pout (enuminer ${em_ns} ns/op speedup ${em_speedup})" >&2
 
 record_delta
