@@ -14,12 +14,14 @@ check:
 lint:
 	go run ./cmd/ermvet -checks all -json ./...
 
-# Short fuzz smoke over the two byte-parsing surfaces: the CSV ingestion
-# path and the rules JSON import. CI-friendly 5s per target; raise
-# -fuzztime locally for a real hunt.
+# Short fuzz smoke over the three byte-parsing surfaces: the CSV
+# ingestion path, the rules JSON import, and the coordinator's splice
+# of worker response bytes (held to the old decode-merge-encode).
+# CI-friendly 5s per target; raise -fuzztime locally for a real hunt.
 fuzz:
 	go test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s .
 	go test -run '^$$' -fuzz FuzzImportRules -fuzztime 5s ./internal/rulesio
+	go test -run '^$$' -fuzz FuzzSplice -fuzztime 5s ./internal/cluster
 
 build:
 	go build ./...

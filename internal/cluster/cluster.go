@@ -6,6 +6,17 @@
 // coordinator response is byte-identical to what one erminerd holding
 // the whole batch would have produced.
 //
+// The merge is a byte router (splice.go): the workers already write
+// canonical JSON with the encoder a single node uses, so the
+// coordinator splices their elements together — tuples and results in
+// batch order, fixes k-way merged by row — rewriting only each
+// element's leading row number and summing the counters. One strict
+// pass over each body type-checks every element against the response
+// grammar; a body that breaks it is a 502, never relayed. Requests are
+// decoded and errors are written through serve's codec (HTTPError,
+// WriteJSON, DecodeBatch), so a coordinator's 400 is a single node's
+// 400 byte for byte, tuple position included.
+//
 // Topology and failure semantics (DESIGN.md decision 17):
 //
 //   - Tuples are the scale dimension, rules are not: every worker holds

@@ -32,7 +32,14 @@ import (
 // fixture. Every worker (and the single-node reference) gets its own
 // instance: replicas share nothing in-process, exactly like separate
 // daemons.
-func clusterProblem(t *testing.T) *core.Problem {
+func clusterProblem(t testing.TB) *core.Problem {
+	t.Helper()
+	return clusterProblemWith(t, map[string]string{"hz": "31200", "bd": "45000", "cz": "52000"})
+}
+
+// clusterProblemWith is clusterProblem with each district's postcode
+// given.
+func clusterProblemWith(t testing.TB, postcode map[string]string) *core.Problem {
 	t.Helper()
 	pool := relation.NewPool()
 	attrs := []relation.Attribute{
@@ -44,7 +51,6 @@ func clusterProblem(t *testing.T) *core.Problem {
 	ms := relation.NewSchema(attrs...)
 	input := relation.New(in, pool)
 	master := relation.New(ms, pool)
-	postcode := map[string]string{"hz": "31200", "bd": "45000", "cz": "52000"}
 	for _, d := range []string{"hz", "bd", "cz"} {
 		for _, a := range []string{"010", "020", "030"} {
 			master.AppendRow([]string{d, a, postcode[d]})
@@ -544,9 +550,11 @@ func TestPartitionDeterminism(t *testing.T) {
 }
 
 // TestCoordinatorRequestValidation pins the coordinator-side 400s,
-// which must be indistinguishable from a worker's.
+// which must be indistinguishable from a worker's: byte for byte what a
+// single node with the same MaxBatch answers.
 func TestCoordinatorRequestValidation(t *testing.T) {
 	c := newCoordinator(t, Config{Workers: newFleet(t, 1), MaxBatch: 2})
+	single := singleNode(t, serve.Config{MaxBatch: 2})
 	for _, tc := range []struct {
 		body, wantErr string
 	}{
@@ -555,9 +563,14 @@ func TestCoordinatorRequestValidation(t *testing.T) {
 		{`{"tuples": [{}], "bogus": 1}`, "bad request body"},
 		{`not json`, "bad request body"},
 	} {
-		w := do(c, "POST", serve.PathRepair, tc.body)
-		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.wantErr) {
-			t.Errorf("body %q answered %d %q, want 400 containing %q", tc.body, w.Code, w.Body.String(), tc.wantErr)
+		for _, path := range []string{serve.PathRepair, serve.PathValidate} {
+			w := do(c, "POST", path, tc.body)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.wantErr) {
+				t.Errorf("%s %q answered %d %q, want 400 containing %q", path, tc.body, w.Code, w.Body.String(), tc.wantErr)
+			}
+			if want := do(single, "POST", path, tc.body); w.Code != want.Code || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%s %q: coordinator answered %d %q, single node %d %q", path, tc.body, w.Code, w.Body, want.Code, want.Body)
+			}
 		}
 	}
 }
@@ -651,6 +664,49 @@ func TestMetricsShape(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestInvalidUTF8ByteIdentical serves master postcodes that are not
+// valid UTF-8. A worker's encoder writes each bad byte as a \ufffd
+// escape, exactly as a single node does, and the merged response must
+// keep those bytes: decoding and re-encoding them would turn each
+// escape into a raw U+FFFD.
+func TestInvalidUTF8ByteIdentical(t *testing.T) {
+	postcode := map[string]string{"hz": "31\xff00", "bd": "45000", "cz": "\xc3"}
+	boot := func() *serve.Server {
+		s, err := serve.New(clusterProblemWith(t, postcode), []core.MinedRule{districtRule()}, serve.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			done := make(chan struct{})
+			time.AfterFunc(10*time.Second, func() { close(done) })
+			if err := s.Shutdown(done); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		})
+		return s
+	}
+	single := boot()
+	urls := make([]string, 2)
+	for i := range urls {
+		ts := httptest.NewServer(boot())
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	c := newCoordinator(t, Config{Workers: urls})
+	for _, path := range []string{serve.PathRepair, serve.PathValidate} {
+		for name, body := range variants(byteBatch) {
+			want := do(single, "POST", path, body)
+			got := do(c, "POST", path, body)
+			if want.Code != http.StatusOK || !strings.Contains(want.Body.String(), `\ufffd`) {
+				t.Fatalf("%s %s: single node answered %d without a \\ufffd escape: %s", path, name, want.Code, want.Body)
+			}
+			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%s %s: coordinator answered %d, not the single node's bytes\ncoordinator: %s\nsingle-node: %s", path, name, got.Code, got.Body, want.Body)
+			}
 		}
 	}
 }

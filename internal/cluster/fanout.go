@@ -6,12 +6,58 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 )
 
-// passthrough is a worker's non-retryable (4xx) answer, relayed to the
-// client verbatim: the worker already produced the canonical error body
-// and second-guessing it would fork the error wire format.
+// bufPool recycles the buffers worker responses are read into and
+// merged responses are spliced into: an explain body runs to hundreds
+// of KB, and reading one into a fresh slice regrows it a dozen times.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf keeps an occasional huge batch's buffer from being held
+// by the pool for good.
+const maxPooledBuf = 4 << 20
+
+func getBuf() *[]byte {
+	b := bufPool.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+func putBuf(b *[]byte) {
+	if b != nil && cap(*b) <= maxPooledBuf {
+		bufPool.Put(b)
+	}
+}
+
+func putBufs(bufs []*[]byte) {
+	for _, b := range bufs {
+		putBuf(b)
+	}
+}
+
+// appendAll is io.ReadAll into dst's spare capacity.
+func appendAll(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// passthrough is a worker's non-200 answer. A non-retryable (4xx) one
+// is the request's own fault and reaches the client as the worker wrote
+// it, bar relayFault's renumbering of a tuple position. Its body is a
+// copy, never a pooled buffer.
 type passthrough struct {
 	status int
 	body   []byte
@@ -31,28 +77,29 @@ func retryableStatus(code int) bool {
 
 // dispatch sends one sub-batch to its pinned worker, retrying with
 // exponential backoff, then hedges across the remaining healthy workers
-// in ring order. It returns the successful worker's raw response bytes
-// (or a *passthrough for a 4xx answer, which the caller relays). The
+// in ring order. It reads the successful worker's raw response bytes
+// into *dst, or returns a *passthrough for a 4xx answer, which the
+// caller relays. The
 // method is threaded explicitly from the handler so every hop of a
 // sub-batch carries the same (method, path) pair the httpcontract check
 // resolves against the worker's registered routes.
-func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []byte, pinned int) ([]byte, error) {
+func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []byte, pinned int, dst *[]byte) error {
 	backoff := c.cfg.retryBackoff()
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.retries(); attempt++ {
 		if attempt > 0 {
 			c.metrics.retriesTotal.Add(1)
 			if err := sleepCtx(ctx, backoff); err != nil {
-				return nil, err
+				return err
 			}
 			backoff *= 2
 		}
-		data, err := c.tryWorker(ctx, pinned, method, path, body)
+		err := c.tryWorker(ctx, pinned, method, path, body, dst)
 		if err == nil {
-			return data, nil
+			return nil
 		}
 		if pt, ok := err.(*passthrough); ok && !retryableStatus(pt.status) {
-			return nil, pt
+			return pt
 		}
 		lastErr = err
 	}
@@ -71,45 +118,46 @@ func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []
 			continue
 		}
 		c.metrics.redispatches.Add(1)
-		data, err := c.tryWorker(ctx, j, method, path, body)
+		err := c.tryWorker(ctx, j, method, path, body, dst)
 		if err == nil {
-			return data, nil
+			return nil
 		}
 		if pt, ok := err.(*passthrough); ok && !retryableStatus(pt.status) {
-			return nil, pt
+			return pt
 		}
 		c.reg.markDead(j, err)
 		c.metrics.workerFailures.Add(1)
 		lastErr = err
 	}
-	return nil, fmt.Errorf("all workers failed for %s sub-batch pinned to worker %d: %w", path, pinned, lastErr)
+	return fmt.Errorf("all workers failed for %s sub-batch pinned to worker %d: %w", path, pinned, lastErr)
 }
 
 // tryWorker makes one request attempt against one worker, bounded by
-// the per-worker timeout. A non-200 answer comes back as *passthrough
-// so the caller can distinguish retryable statuses from client errors.
-func (c *Coordinator) tryWorker(ctx context.Context, i int, method, path string, body []byte) ([]byte, error) {
+// the per-worker timeout, reading the answer into *dst. A non-200
+// answer comes back as *passthrough so the caller can distinguish
+// retryable statuses from client errors.
+func (c *Coordinator) tryWorker(ctx context.Context, i int, method, path string, body []byte, dst *[]byte) error {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.perWorkerTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, method, c.workers[i]+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	//ermvet:ignore errdrop nothing to do about a close error after the body is fully read
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	*dst, err = appendAll((*dst)[:0], resp.Body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &passthrough{status: resp.StatusCode, body: data}
+		return &passthrough{status: resp.StatusCode, body: bytes.Clone(*dst)}
 	}
-	return data, nil
+	return nil
 }
 
 // sleepCtx is a context-aware backoff sleep.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,58 +25,15 @@ func (c *Coordinator) routes() {
 	c.mux = mux
 }
 
-// httpError and writeJSON duplicate the worker daemon's encoders on
-// purpose: byte-identity with single-node responses holds only if both
-// roles serialize the same way (json.Encoder, trailing newline).
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	//ermvet:ignore errdrop a failed response write means the client is gone; there is no one to tell
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	//ermvet:ignore errdrop a failed response write means the client is gone; there is no one to tell
-	json.NewEncoder(w).Encode(v)
-}
-
-// decodeBatch mirrors the worker's strict request decoding — identical
-// limits and identical error strings, so a client cannot tell a
-// coordinator's 400 from a worker's.
-func (c *Coordinator) decodeBatch(w http.ResponseWriter, r *http.Request, req *serve.TupleBatch) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.maxBody()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", errors.New("trailing data after JSON body"))
-		return false
-	}
-	if len(req.Tuples) == 0 {
-		httpError(w, http.StatusBadRequest, "empty tuple batch")
-		return false
-	}
-	if len(req.Tuples) > c.cfg.maxBatch() {
-		httpError(w, http.StatusBadRequest, "batch of %d tuples exceeds the %d limit", len(req.Tuples), c.cfg.maxBatch())
-		return false
-	}
-	return true
-}
-
 // fanout partitions the batch, dispatches every non-empty sub-batch
-// concurrently, and returns the per-worker raw response bytes (nil for
-// workers that drew no tuples). On failure it writes the HTTP error —
-// relaying the lowest-indexed worker's 4xx verbatim when the fault is
-// the request's — and returns ok=false.
-func (c *Coordinator) fanout(ctx context.Context, w http.ResponseWriter, method, path string, req serve.TupleBatch, parts [][]int) ([][]byte, bool) {
+// concurrently, and returns each worker's response body in a pooled
+// buffer (nil for workers that drew no tuples), to be returned with
+// putBufs. On failure it writes the HTTP error — relaying the request's
+// own fault when a worker reported one (relayFault) — and returns
+// ok=false.
+func (c *Coordinator) fanout(ctx context.Context, w http.ResponseWriter, method, path string, req serve.TupleBatch, parts [][]int) ([]*[]byte, bool) {
 	n := len(c.workers)
-	data := make([][]byte, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
+	subs := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		if len(parts[i]) == 0 {
 			continue
@@ -92,124 +48,162 @@ func (c *Coordinator) fanout(ctx context.Context, w http.ResponseWriter, method,
 		}
 		body, err := json.Marshal(sub)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding sub-batch: %v", err)
+			serve.HTTPError(w, http.StatusInternalServerError, "encoding sub-batch: %v", err)
 			return nil, false
 		}
+		subs[i] = body
+	}
+	bufs := make([]*[]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, body := range subs {
+		if body == nil {
+			continue
+		}
 		c.metrics.subbatchesTotal.Add(1)
+		bufs[i] = getBuf()
 		wg.Add(1)
 		go func(i int, body []byte) {
 			defer wg.Done()
-			data[i], errs[i] = c.dispatch(ctx, method, path, body, i)
+			errs[i] = c.dispatch(ctx, method, path, body, i, bufs[i])
 		}(i, body)
 	}
 	wg.Wait()
-	// A non-retryable 4xx from any worker wins (the request itself is
-	// bad, lowest worker index for determinism); retryable statuses that
-	// survived the whole dispatch budget, like any transport failure,
-	// become a 502.
-	for _, err := range errs {
-		var pt *passthrough
-		if errors.As(err, &pt) && !retryableStatus(pt.status) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(pt.status)
-			//ermvet:ignore errdrop a failed response write means the client is gone; there is no one to tell
-			w.Write(pt.body)
-			return nil, false
-		}
+	if relayFault(w, errs, parts) {
+		putBufs(bufs)
+		return nil, false
 	}
+	// Retryable statuses that survived the whole dispatch budget, like
+	// any transport failure, become a 502.
 	for i, err := range errs {
 		if err != nil {
-			httpError(w, http.StatusBadGateway, "sub-batch for worker %d failed: %v", i, err)
+			putBufs(bufs)
+			serve.HTTPError(w, http.StatusBadGateway, "sub-batch for worker %d failed: %v", i, err)
 			return nil, false
 		}
 	}
-	return data, true
+	return bufs, true
 }
 
-// sameVersion verifies every contributing sub-response was evaluated
-// under one rule generation. Mixed generations cannot be merged into a
-// response claiming a single rules_version — that is exactly the skew
-// the two-phase push exists to prevent — so the batch fails loudly.
-func sameVersion(versions []int64, have []bool) (int64, error) {
-	version := int64(-1)
-	for i, v := range versions {
-		if !have[i] {
+// relayFault answers the request's own fault if a worker reported one
+// (a non-retryable 4xx) and reports whether it did. A 400 naming an
+// unknown column names its tuple by sub-batch position: it is
+// renumbered to the batch position, and when several workers reject,
+// the lowest batch position wins — the tuple a single node names. Any
+// other 4xx is a batch-level fault, relayed verbatim from the lowest
+// worker index that answered one.
+func relayFault(w http.ResponseWriter, errs []error, parts [][]int) bool {
+	var verbatim *passthrough
+	var first *serve.UnknownColumnError
+	for i, err := range errs {
+		var pt *passthrough
+		if !errors.As(err, &pt) || retryableStatus(pt.status) {
 			continue
 		}
-		if version == -1 {
-			version = v
-		} else if v != version {
-			return 0, fmt.Errorf("workers answered under different rule generations (%d vs %d); retry after the rule push settles", version, v)
+		if uc := unknownColumn(pt, parts[i]); uc != nil {
+			if first == nil || uc.Index < first.Index {
+				first = uc
+			}
+		} else if verbatim == nil {
+			verbatim = pt
 		}
 	}
-	return version, nil
+	switch {
+	case verbatim != nil:
+		writeRaw(w, verbatim.status, verbatim.body)
+	case first != nil:
+		serve.HTTPError(w, http.StatusBadRequest, "%v", first)
+	default:
+		return false
+	}
+	return true
 }
 
-func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	c.metrics.inFlightRepair.Add(1)
-	defer c.metrics.inFlightRepair.Add(-1)
-	defer func() { c.metrics.observeLatency(time.Since(start)) }()
+// unknownColumn parses a worker's 400 as a serve.UnknownColumnError
+// and renumbers its tuple into batch coordinates, or returns nil.
+func unknownColumn(pt *passthrough, part []int) *serve.UnknownColumnError {
+	if pt.status != http.StatusBadRequest {
+		return nil
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(pt.body, &body) != nil {
+		return nil
+	}
+	uc, ok := serve.ParseUnknownColumnError(body.Error)
+	if !ok || uc.Index >= len(part) {
+		return nil
+	}
+	uc.Index = part[uc.Index]
+	return uc
+}
+
+// writeRaw answers code with body, JSON its sender already encoded.
+func writeRaw(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	//ermvet:ignore errdrop a failed response write means the client is gone; there is no one to tell
+	w.Write(body)
+}
+
+// batch runs the steps /v1/repair and /v1/validate share: decode the
+// request as a single node would, partition it and fan it out. It
+// returns the workers' bodies (nil for workers that drew no tuples),
+// the partition, and the pooled buffers holding the bodies, which the
+// caller returns with putBufs. On failure it has answered the request.
+func (c *Coordinator) batch(w http.ResponseWriter, r *http.Request, method, path string) ([][]byte, [][]int, []*[]byte, bool) {
 	if c.closed.Load() {
-		httpError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
-		return
+		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		return nil, nil, nil, false
 	}
 	var req serve.TupleBatch
-	if !c.decodeBatch(w, r, &req) {
-		return
+	if !serve.DecodeBatch(w, r, c.cfg.maxBody(), c.cfg.maxBatch(), &req) {
+		return nil, nil, nil, false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.requestTimeout())
 	defer cancel()
 	c.metrics.tuplesSeen.Add(int64(len(req.Tuples)))
 
 	parts := partition(req.Tuples, len(c.workers))
-	data, ok := c.fanout(ctx, w, http.MethodPost, serve.PathRepair, req, parts)
+	bufs, ok := c.fanout(ctx, w, method, path, req, parts)
+	if !ok {
+		return nil, nil, nil, false
+	}
+	bodies := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		if b != nil {
+			bodies[i] = *b
+		}
+	}
+	return bodies, parts, bufs, true
+}
+
+// handleRepair and handleValidate merge by splicing the workers' bytes
+// (splice.go): tuple i of the request is tuple k of its worker's
+// sub-batch, where parts[w][k] == i, and rows are renumbered from
+// sub-batch to batch coordinates.
+func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	c.metrics.inFlightRepair.Add(1)
+	defer c.metrics.inFlightRepair.Add(-1)
+	defer func() { c.metrics.observeLatency(time.Since(start)) }()
+	bodies, parts, bufs, ok := c.batch(w, r, http.MethodPost, serve.PathRepair)
 	if !ok {
 		return
 	}
-
-	// Merge in canonical input order: tuple i of the request is tuple k
-	// of its worker's sub-batch, where parts[w][k] == i. Fix rows are
-	// renumbered from sub-batch coordinates back to batch coordinates.
-	resp := serve.RepairResponse{
-		Tuples: make([]map[string]string, len(req.Tuples)),
-		Fixes:  []serve.FixJSON{},
-	}
-	versions := make([]int64, len(c.workers))
-	have := make([]bool, len(c.workers))
-	for i, raw := range data {
-		if raw == nil {
-			continue
-		}
-		var sr serve.RepairResponse
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			httpError(w, http.StatusBadGateway, "decoding worker %d response: %v", i, err)
-			return
-		}
-		if len(sr.Tuples) != len(parts[i]) {
-			httpError(w, http.StatusBadGateway, "worker %d answered %d tuples for a %d-tuple sub-batch", i, len(sr.Tuples), len(parts[i]))
-			return
-		}
-		versions[i], have[i] = sr.RulesVersion, true
-		for k, idx := range parts[i] {
-			resp.Tuples[idx] = sr.Tuples[k]
-		}
-		for _, f := range sr.Fixes {
-			f.Row = parts[i][f.Row]
-			resp.Fixes = append(resp.Fixes, f)
-		}
-		resp.Covered += sr.Covered
-		resp.Changed += sr.Changed
-	}
-	version, err := sameVersion(versions, have)
+	defer putBufs(bufs)
+	out := getBuf()
+	defer putBuf(out)
+	var changed int
+	var err error
+	*out, changed, err = spliceRepair(bodies, parts, *out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		serve.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	resp.RulesVersion = version
-	sort.Slice(resp.Fixes, func(i, j int) bool { return resp.Fixes[i].Row < resp.Fixes[j].Row })
-	c.metrics.repairsApplied.Add(int64(resp.Changed))
-	writeJSON(w, http.StatusOK, resp)
+	c.metrics.repairsApplied.Add(int64(changed))
+	writeRaw(w, http.StatusOK, *out)
 }
 
 func (c *Coordinator) handleValidate(w http.ResponseWriter, r *http.Request) {
@@ -217,57 +211,20 @@ func (c *Coordinator) handleValidate(w http.ResponseWriter, r *http.Request) {
 	c.metrics.inFlightValidate.Add(1)
 	defer c.metrics.inFlightValidate.Add(-1)
 	defer func() { c.metrics.observeLatency(time.Since(start)) }()
-	if c.closed.Load() {
-		httpError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
-		return
-	}
-	var req serve.TupleBatch
-	if !c.decodeBatch(w, r, &req) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.requestTimeout())
-	defer cancel()
-	c.metrics.tuplesSeen.Add(int64(len(req.Tuples)))
-
-	parts := partition(req.Tuples, len(c.workers))
-	data, ok := c.fanout(ctx, w, http.MethodPost, serve.PathValidate, req, parts)
+	bodies, parts, bufs, ok := c.batch(w, r, http.MethodPost, serve.PathValidate)
 	if !ok {
 		return
 	}
-
-	resp := serve.ValidateResponse{Results: make([]serve.ValidationJSON, len(req.Tuples))}
-	versions := make([]int64, len(c.workers))
-	have := make([]bool, len(c.workers))
-	for i, raw := range data {
-		if raw == nil {
-			continue
-		}
-		var sr serve.ValidateResponse
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			httpError(w, http.StatusBadGateway, "decoding worker %d response: %v", i, err)
-			return
-		}
-		if len(sr.Results) != len(parts[i]) {
-			httpError(w, http.StatusBadGateway, "worker %d answered %d results for a %d-tuple sub-batch", i, len(sr.Results), len(parts[i]))
-			return
-		}
-		versions[i], have[i] = sr.RulesVersion, true
-		for k, idx := range parts[i] {
-			v := sr.Results[k]
-			v.Row = idx
-			resp.Results[idx] = v
-		}
-		resp.Violations += sr.Violations
-		resp.Missing += sr.Missing
-		resp.Uncovered += sr.Uncovered
-	}
-	version, err := sameVersion(versions, have)
+	defer putBufs(bufs)
+	out := getBuf()
+	defer putBuf(out)
+	var err error
+	*out, err = spliceValidate(bodies, parts, *out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		serve.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	resp.RulesVersion = version
-	writeJSON(w, http.StatusOK, resp)
+	writeRaw(w, http.StatusOK, *out)
 }
 
 // handleRulesPut replicates a rule-set generation to the whole fleet in
@@ -280,12 +237,12 @@ func (c *Coordinator) handleValidate(w http.ResponseWriter, r *http.Request) {
 // generation serving everywhere.
 func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 	if c.closed.Load() {
-		httpError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.maxBody()))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		serve.HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	c.pushMu.Lock()
@@ -305,13 +262,13 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range staged {
 		var sr serve.StageResponse
 		if err := json.Unmarshal(raw, &sr); err != nil {
-			httpError(w, http.StatusBadGateway, "decoding worker %d stage response: %v", i, err)
+			serve.HTTPError(w, http.StatusBadGateway, "decoding worker %d stage response: %v", i, err)
 			return
 		}
 		if i == 0 {
 			etag, count = sr.ETag, sr.Count
 		} else if sr.ETag != etag {
-			httpError(w, http.StatusBadGateway, "workers staged different generations (%s vs %s); no activation was attempted", etag, sr.ETag)
+			serve.HTTPError(w, http.StatusBadGateway, "workers staged different generations (%s vs %s); no activation was attempted", etag, sr.ETag)
 			return
 		}
 	}
@@ -319,7 +276,7 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 	// Phase 2: activate the agreed generation everywhere.
 	actBody, err := json.Marshal(serve.ActivateRequest{ETag: etag})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding activate request: %v", err)
+		serve.HTTPError(w, http.StatusInternalServerError, "encoding activate request: %v", err)
 		return
 	}
 	//ermvet:ignore lockorder pushMu exists to serialize fleet pushes; the wait is bounded by the per-request context timeout above
@@ -332,7 +289,7 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range activated {
 		var ar serve.RulesAck
 		if err := json.Unmarshal(raw, &ar); err != nil {
-			httpError(w, http.StatusBadGateway, "decoding worker %d activate response: %v", i, err)
+			serve.HTTPError(w, http.StatusBadGateway, "decoding worker %d activate response: %v", i, err)
 			return
 		}
 		c.reg.markAlive(i, ar.ETag, ar.Version)
@@ -343,7 +300,7 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 	c.lastETag, c.lastCount = etag, count
 	c.generation.Add(1)
 	c.metrics.rulePushes.Add(1)
-	writeJSON(w, http.StatusOK, serve.RulesAck{Version: version, Count: count, ETag: etag})
+	serve.WriteJSON(w, http.StatusOK, serve.RulesAck{Version: version, Count: count, ETag: etag})
 }
 
 // handleDataPatch replicates a data delta to the whole fleet. Master
@@ -359,27 +316,21 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 // papered over.
 func (c *Coordinator) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 	if c.closed.Load() {
-		httpError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.maxBody()))
-	dec.DisallowUnknownFields()
 	var req serve.DataPatchRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", errors.New("trailing data after JSON body"))
+	if err := serve.DecodeJSON(w, r, c.cfg.maxBody(), &req); err != nil {
+		serve.HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Appends)+len(req.Updates) == 0 {
-		httpError(w, http.StatusBadRequest, "empty delta: no appends and no updates")
+		serve.HTTPError(w, http.StatusBadRequest, "empty delta: no appends and no updates")
 		return
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding patch request: %v", err)
+		serve.HTTPError(w, http.StatusInternalServerError, "encoding patch request: %v", err)
 		return
 	}
 	c.pushMu.Lock()
@@ -396,7 +347,7 @@ func (c *Coordinator) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range raws {
 		var pr serve.DataPatchResponse
 		if err := json.Unmarshal(raw, &pr); err != nil {
-			httpError(w, http.StatusBadGateway, "decoding worker %d patch response: %v", i, err)
+			serve.HTTPError(w, http.StatusBadGateway, "decoding worker %d patch response: %v", i, err)
 			return
 		}
 		c.reg.markAlive(i, pr.RulesETag, pr.RulesVersion)
@@ -405,14 +356,14 @@ func (c *Coordinator) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if pr.DataVersion != first.DataVersion || pr.RulesETag != first.RulesETag {
-			httpError(w, http.StatusBadGateway,
+			serve.HTTPError(w, http.StatusBadGateway,
 				"workers diverged after the data patch (worker %d: data_version %d, rules_etag %s; worker 0: data_version %d, rules_etag %s)",
 				i, pr.DataVersion, pr.RulesETag, first.DataVersion, first.RulesETag)
 			return
 		}
 	}
 	c.metrics.dataPatches.Add(1)
-	writeJSON(w, http.StatusOK, first)
+	serve.WriteJSON(w, http.StatusOK, first)
 }
 
 // pushAll sends one body to every worker concurrently (with the
@@ -453,7 +404,8 @@ func (c *Coordinator) postWithRetry(ctx context.Context, i int, method, path str
 			}
 			backoff *= 2
 		}
-		data, err := c.tryWorker(ctx, i, method, path, body)
+		var data []byte
+		err := c.tryWorker(ctx, i, method, path, body, &data)
 		if err == nil {
 			return data, nil
 		}
@@ -474,13 +426,10 @@ func (c *Coordinator) postWithRetry(ctx context.Context, i int, method, path str
 func (c *Coordinator) relayPushError(w http.ResponseWriter, phase string, err error) {
 	var pt *passthrough
 	if errors.As(err, &pt) && !retryableStatus(pt.status) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(pt.status)
-		//ermvet:ignore errdrop a failed response write means the client is gone; there is no one to tell
-		w.Write(pt.body)
+		writeRaw(w, pt.status, pt.body)
 		return
 	}
-	httpError(w, http.StatusBadGateway, "%s: %v", phase, err)
+	serve.HTTPError(w, http.StatusBadGateway, "%s: %v", phase, err)
 }
 
 // handleRulesGet proxies the active rule set from the first healthy
@@ -521,7 +470,7 @@ func (c *Coordinator) handleRulesGet(w http.ResponseWriter, r *http.Request) {
 		w.Write(body)
 		return
 	}
-	httpError(w, http.StatusBadGateway, "no healthy worker to serve the rule set")
+	serve.HTTPError(w, http.StatusBadGateway, "no healthy worker to serve the rule set")
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -542,7 +491,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case healthy < len(workers):
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"status":          status,
 		"role":            "coordinator",
 		"workers":         workers,

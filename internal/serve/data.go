@@ -286,19 +286,19 @@ func (s *Server) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 	var req DataPatchRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := DecodeJSON(w, r, s.cfg.maxBody(), &req); err != nil {
+		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if n := len(req.Appends) + len(req.Updates); n > s.cfg.maxBatch() {
-		httpError(w, http.StatusBadRequest, "delta of %d entries exceeds the %d limit", n, s.cfg.maxBatch())
+		HTTPError(w, http.StatusBadRequest, "delta of %d entries exceeds the %d limit", n, s.cfg.maxBatch())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
 	defer cancel()
 	resp, status, err := s.PatchData(ctx.Done(), req)
 	if err != nil {
-		httpError(w, status, "%v", err)
+		HTTPError(w, status, "%v", err)
 		return
 	}
 	if req.Remine {
@@ -311,5 +311,5 @@ func (s *Server) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 			resp.RemineJob = j.id
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -32,24 +32,30 @@ func (s *Server) routes() {
 	s.mux = mux
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	//ermvet:ignore errdrop a failed response write means the client is gone; there is no one to tell
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+// HTTPError, WriteJSON, DecodeJSON and DecodeBatch are the one HTTP
+// codec of both serving roles: the worker daemon and the ermcluster
+// coordinator answer through them, so a client cannot tell the two
+// apart by their bytes.
+
+// HTTPError answers code with the JSON error body {"error": message}.
+func HTTPError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as json.Encoder writes it: HTML-escaped,
+// no insignificant whitespace, a trailing newline.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	//ermvet:ignore errdrop a failed response write means the client is gone; there is no one to tell
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeJSON strictly decodes the request body into v (unknown fields
-// and trailing garbage are errors, and the body is size-capped).
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
+// DecodeJSON strictly decodes the request body into v (unknown fields
+// and trailing garbage are errors, and the body is capped at maxBody
+// bytes).
+func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -58,6 +64,25 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 		return errors.New("trailing data after JSON body")
 	}
 	return nil
+}
+
+// DecodeBatch decodes a /v1/repair or /v1/validate request body into
+// req and requires 1..maxBatch tuples. On failure it has answered the
+// 400 and returns false.
+func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBody int64, maxBatch int, req *TupleBatch) bool {
+	if err := DecodeJSON(w, r, maxBody, req); err != nil {
+		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	if len(req.Tuples) == 0 {
+		HTTPError(w, http.StatusBadRequest, "empty tuple batch")
+		return false
+	}
+	if len(req.Tuples) > maxBatch {
+		HTTPError(w, http.StatusBadRequest, "batch of %d tuples exceeds the %d limit", len(req.Tuples), maxBatch)
+		return false
+	}
+	return true
 }
 
 // TupleBatch is the common request shape of /v1/repair and /v1/validate:
@@ -75,6 +100,33 @@ type TupleBatch struct {
 	// Explain adds each contributing rule's full candidate histogram to
 	// every fix (the rule list itself is always included).
 	Explain bool `json:"explain,omitempty"`
+}
+
+// UnknownColumnError is the 400 of a batch tuple that names a column
+// outside the serving input schema. Index is the tuple's position in
+// the posted batch; Column is the first unknown column in sorted order,
+// so the error does not depend on map iteration order.
+type UnknownColumnError struct {
+	Index  int
+	Column string
+}
+
+func (e *UnknownColumnError) Error() string {
+	return fmt.Sprintf("tuple %d: unknown column %q", e.Index, e.Column)
+}
+
+// ParseUnknownColumnError parses an UnknownColumnError back out of its
+// message. The ermcluster coordinator uses it to renumber a worker's
+// sub-batch position into the batch position a single node would name.
+func ParseUnknownColumnError(msg string) (*UnknownColumnError, bool) {
+	var e UnknownColumnError
+	if n, err := fmt.Sscanf(msg, "tuple %d: unknown column %q", &e.Index, &e.Column); err != nil || n != 2 {
+		return nil, false
+	}
+	if e.Index < 0 || e.Error() != msg {
+		return nil, false
+	}
+	return &e, true
 }
 
 // encodeBatch builds a private relation over the serving input schema
@@ -96,12 +148,19 @@ func (s *Server) encodeBatch(tuples []map[string]string) (*relation.Relation, er
 		for j := range vals {
 			vals[j] = ""
 		}
+		var bad *UnknownColumnError
 		for col, v := range t {
 			idx := schema.Index(col)
 			if idx < 0 {
-				return nil, fmt.Errorf("tuple %d: unknown column %q", i, col)
+				if bad == nil || col < bad.Column {
+					bad = &UnknownColumnError{Index: i, Column: col}
+				}
+				continue
 			}
 			vals[idx] = v
+		}
+		if bad != nil {
+			return nil, bad
 		}
 		rel.AppendRow(vals)
 	}
@@ -172,16 +231,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// actually experience, not just the successes.
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 	var req TupleBatch
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Tuples) == 0 {
-		httpError(w, http.StatusBadRequest, "empty tuple batch")
-		return
-	}
-	if len(req.Tuples) > s.cfg.maxBatch() {
-		httpError(w, http.StatusBadRequest, "batch of %d tuples exceeds the %d limit", len(req.Tuples), s.cfg.maxBatch())
+	if !DecodeBatch(w, r, s.cfg.maxBody(), s.cfg.maxBatch(), &req) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
@@ -189,7 +239,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 
 	release, status, err := s.acquire(ctx.Done())
 	if err != nil {
-		httpError(w, status, "%v", err)
+		HTTPError(w, status, "%v", err)
 		return
 	}
 	defer release()
@@ -203,13 +253,13 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	rs := s.rules()
 	rel, err := s.encodeBatch(req.Tuples)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ev, res, err := s.runRules(ctx, rel, rs)
 	if err != nil {
 		s.metrics.timeoutsTotal.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "repair timed out: %v", err)
+		HTTPError(w, http.StatusGatewayTimeout, "repair timed out: %v", err)
 		return
 	}
 
@@ -264,7 +314,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	s.dictMu.RUnlock()
 	s.metrics.repairsApplied.Add(int64(changed))
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 type ValidationJSON struct {
@@ -298,16 +348,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	// As in handleRepair: every outcome is observed, not just 200s.
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 	var req TupleBatch
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Tuples) == 0 {
-		httpError(w, http.StatusBadRequest, "empty tuple batch")
-		return
-	}
-	if len(req.Tuples) > s.cfg.maxBatch() {
-		httpError(w, http.StatusBadRequest, "batch of %d tuples exceeds the %d limit", len(req.Tuples), s.cfg.maxBatch())
+	if !DecodeBatch(w, r, s.cfg.maxBody(), s.cfg.maxBatch(), &req) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
@@ -315,7 +356,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 
 	release, status, err := s.acquire(ctx.Done())
 	if err != nil {
-		httpError(w, status, "%v", err)
+		HTTPError(w, status, "%v", err)
 		return
 	}
 	defer release()
@@ -326,13 +367,13 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	rs := s.rules()
 	rel, err := s.encodeBatch(req.Tuples)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	_, res, err := s.runRules(ctx, rel, rs)
 	if err != nil {
 		s.metrics.timeoutsTotal.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "validation timed out: %v", err)
+		HTTPError(w, http.StatusGatewayTimeout, "validation timed out: %v", err)
 		return
 	}
 
@@ -364,7 +405,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		resp.Results[row] = v
 	}
 	s.dictMu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRulesGet serves the active rule set in the portable wire format
@@ -378,7 +419,7 @@ func (s *Server) handleRulesGet(w http.ResponseWriter, r *http.Request) {
 	data, err := rulesio.Export(s.p, rs.rules)
 	s.dictMu.RUnlock()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "exporting rules: %v", err)
+		HTTPError(w, http.StatusInternalServerError, "exporting rules: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -405,15 +446,15 @@ const RulesAckVersion = 1
 func (s *Server) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	version, count, err := s.SwapRules(data)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RulesAck{Version: version, Count: count, ETag: s.rules().etag})
+	WriteJSON(w, http.StatusOK, RulesAck{Version: version, Count: count, ETag: s.rules().etag})
 }
 
 // handleRulesStage is phase one of the cluster's two-phase rule push:
@@ -423,15 +464,15 @@ func (s *Server) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRulesStage(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	etag, count, err := s.StageRules(data)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StageResponse{ETag: etag, Count: count})
+	WriteJSON(w, http.StatusOK, StageResponse{ETag: etag, Count: count})
 }
 
 // StageResponse is the response body of POST /v1/rules/stage: the
@@ -461,55 +502,55 @@ const ActivateRequestVersion = 1
 // generation named by the request's etag.
 func (s *Server) handleRulesActivate(w http.ResponseWriter, r *http.Request) {
 	var req ActivateRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := DecodeJSON(w, r, s.cfg.maxBody(), &req); err != nil {
+		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	version, count, err := s.ActivateStaged(req.ETag)
 	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		HTTPError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RulesAck{Version: version, Count: count, ETag: req.ETag})
+	WriteJSON(w, http.StatusOK, RulesAck{Version: version, Count: count, ETag: req.ETag})
 }
 
 func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := s.decodeJSON(w, r, &spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := DecodeJSON(w, r, s.cfg.maxBody(), &spec); err != nil {
+		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if _, err := newMiner(spec); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	j, err := s.jobs.submit(spec)
 	switch {
 	case errors.Is(err, errJobQueueFull):
 		s.metrics.rejectedTotal.Add(1)
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		HTTPError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case errors.Is(err, errShuttingDown):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
 }
 
 func (s *Server) handleJobsGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		HTTPError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 // HealthResponse is the worker's /healthz body. The coordinator's
@@ -540,7 +581,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "shutting_down"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, HealthResponse{
+	WriteJSON(w, code, HealthResponse{
 		Status:        status,
 		Role:          s.cfg.Role,
 		RulesActive:   len(rs.rules),

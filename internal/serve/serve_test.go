@@ -209,6 +209,31 @@ func TestRepairBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownColumnDeterministic pins the 400 for a tuple with several
+// unknown columns: it names the first in sorted order, so identical
+// requests get identical bodies whatever the map iteration order.
+func TestUnknownColumnDeterministic(t *testing.T) {
+	s := newTestServer(t, []core.MinedRule{districtRule()}, Config{})
+	const body = `{"tuples": [{"district": "hz"}, {"zeta": "1", "district": "hz", "alpha": "2", "mid": "3"}]}`
+	const want = `{"error":"tuple 1: unknown column \"alpha\""}` + "\n"
+	for i := 0; i < 200; i++ {
+		for _, path := range []string{PathRepair, PathValidate} {
+			if w := do(s, "POST", path, body); w.Code != http.StatusBadRequest || w.Body.String() != want {
+				t.Fatalf("request %d to %s answered %d %s, want 400 %s", i, path, w.Code, w.Body, want)
+			}
+		}
+	}
+	e, ok := ParseUnknownColumnError(`tuple 1: unknown column "alpha"`)
+	if !ok || *e != (UnknownColumnError{Index: 1, Column: "alpha"}) {
+		t.Errorf("ParseUnknownColumnError = %+v, %v", e, ok)
+	}
+	for _, msg := range []string{`tuple -1: unknown column "a"`, `tuple 1: unknown column "a" and more`, `tuple 01: unknown column "a"`, `empty tuple batch`} {
+		if _, ok := ParseUnknownColumnError(msg); ok {
+			t.Errorf("ParseUnknownColumnError accepted %q", msg)
+		}
+	}
+}
+
 func TestValidateStatuses(t *testing.T) {
 	s := newTestServer(t, []core.MinedRule{districtRule()}, Config{})
 	w := do(s, "POST", "/v1/validate", `{"tuples": [
