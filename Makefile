@@ -10,7 +10,7 @@ check:
 
 # The ermvet pass alone: every repo-specific determinism, concurrency
 # and wire-format check over every non-test package, as newline-
-# delimited JSON (suppressed findings included, for the CI annotator).
+# delimited JSON (suppressed findings included, for CI's step summary).
 lint:
 	go run ./cmd/ermvet -checks all -json ./...
 

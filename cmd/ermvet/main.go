@@ -8,10 +8,8 @@
 //
 //	go run ./cmd/ermvet ./...
 //	go run ./cmd/ermvet ./internal/serve ./internal/measure
-//	go run ./cmd/ermvet -checks detrand,maporder ./...
+//	go run ./cmd/ermvet -checks detrand,lockorder ./...
 //	go run ./cmd/ermvet -checks all -json ./...
-//	go run ./cmd/ermvet -sarif ./... > ermvet.sarif
-//	go run ./cmd/ermvet -timing ./...
 //	go run ./cmd/ermvet -update
 //	go run ./cmd/ermvet -list
 //
@@ -28,9 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"erminer/internal/analysis"
 )
@@ -39,17 +35,12 @@ func main() {
 	listChecks := flag.Bool("list", false, "list the checks and exit")
 	checkNames := flag.String("checks", "", "comma-separated subset of checks to run, or \"all\" (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as newline-delimited JSON, including suppressed ones")
-	sarifOut := flag.Bool("sarif", false, "emit findings as one SARIF 2.1.0 document, including suppressed ones")
 	update := flag.Bool("update", false, "regenerate the golden manifest (wire shapes and metric names) and exit")
-	timing := flag.Bool("timing", false, "report per-check wall time (stderr table; timing records in -json; run properties in -sarif)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ermvet [-list] [-checks name,...] [-json|-sarif] [-timing] [-update] [pattern ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ermvet [-list] [-checks name,...] [-json] [-update] [pattern ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fail(fmt.Errorf("-json and -sarif are mutually exclusive"))
-	}
 
 	if *listChecks {
 		for _, c := range analysis.AllChecks {
@@ -86,11 +77,6 @@ func main() {
 	if mod.Manifest == nil {
 		fail(fmt.Errorf("no golden manifest at %s (generate it with ermvet -update)", analysis.ManifestPath))
 	}
-	var timings map[string]time.Duration
-	if *timing {
-		timings = make(map[string]time.Duration)
-		mod.Timing = func(check string, d time.Duration) { timings[check] += d }
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -98,10 +84,6 @@ func main() {
 	}
 
 	findings := 0
-	// SARIF is one document over the whole run, so diagnostics are
-	// collected across packages and written once; NDJSON streams
-	// per package.
-	var sarifDiags []analysis.Diagnostic
 	for _, pkg := range mod.Packages {
 		rel, err := filepath.Rel(root, pkg.Dir)
 		if err != nil {
@@ -119,31 +101,15 @@ func main() {
 				fail(err)
 			}
 		}
-		if *sarifOut {
-			sarifDiags = append(sarifDiags, diags...)
-		}
 		for _, d := range diags {
 			if d.Suppressed {
 				continue
 			}
-			if !*jsonOut && !*sarifOut {
+			if !*jsonOut {
 				fmt.Println(d)
 			}
 			findings++
 		}
-	}
-	if *sarifOut {
-		if err := analysis.WriteSARIF(os.Stdout, sarifDiags, timings); err != nil {
-			fail(err)
-		}
-	}
-	if *timing {
-		if *jsonOut {
-			if err := analysis.WriteTimingsJSON(os.Stdout, timings); err != nil {
-				fail(err)
-			}
-		}
-		printTimings(timings)
 	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "ermvet: %d finding(s)\n", findings)
@@ -154,26 +120,6 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "ermvet:", err)
 	os.Exit(2)
-}
-
-// printTimings renders the -timing table on stderr, slowest check
-// first, so the output never mixes into the machine-readable stdout
-// streams.
-func printTimings(timings map[string]time.Duration) {
-	names := make([]string, 0, len(timings))
-	for name := range timings {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if timings[names[i]] != timings[names[j]] {
-			return timings[names[i]] > timings[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	fmt.Fprintf(os.Stderr, "ermvet: per-check wall time\n")
-	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "  %-12s %8.1fms\n", name, float64(timings[name].Microseconds())/1000)
-	}
 }
 
 // selectChecks resolves the -checks flag; an empty flag or "all"

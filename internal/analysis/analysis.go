@@ -7,39 +7,34 @@
 //   - detrand: determinism-critical packages take randomness as an
 //     injected seeded *rand.Rand and time through an injected clock —
 //     never the math/rand globals or time.Now.
-//   - maporder: iterating a map must not feed ordered output (a slice
-//     that is never sorted, or direct writes) — Go randomizes map order.
 //   - guardedby: struct fields annotated "guarded by <mu>" are only
 //     accessed in functions that lock <mu> on the same receiver, and a
 //     field accessed through sync/atomic is never also accessed plainly
 //     outside that guard.
-//   - floateq: no ==/!= on floating-point operands in the measure/loss
-//     packages (exact-zero sentinel tests excepted).
-//   - ctxcancel: exported blocking entry points of the serving and
-//     repair layers accept and honor a cancellation hook.
 //
 // Later layers grow the reach: flow-sensitive per-function dataflow
-// (goroleak, errdrop), interprocedural budgets and lifetimes
-// (allocbudget, bodyclose), and whole-module contract gates — lockorder
-// (one lockset dataflow per function, propagated through the call graph
-// into a cross-package lock-acquisition order), httpcontract (client
-// routes must resolve against registered handlers), and wiredrift (wire
-// shapes and metric names are pinned by a golden manifest). See each
-// check's doc.
+// (goroleak, errdrop), resource lifetimes (bodyclose), and whole-module
+// contract gates — lockorder (one lockset dataflow per function,
+// propagated through the call graph into a cross-package
+// lock-acquisition order), httpcontract (client routes must resolve
+// against registered handlers), and wiredrift (wire shapes and metric
+// names are pinned by a golden manifest). See each check's doc.
 //
 // Every check runs over a Module: the loaded packages plus the facts
-// that span them — call graph, route table, lock analysis, hot-path
-// budget, resolved guard annotations and golden manifest — each built
-// once with the module, so a check sees the same context whether it
-// runs alone or with the others.
+// that span them — call graph, route table, lock analysis, resolved
+// guard annotations and golden manifest — each built once with the
+// module, so a check sees the same context whether it runs alone or
+// with the others.
 //
 // A finding the code is genuinely entitled to is silenced in place with
 //
 //	//ermvet:ignore <check> <reason>
 //
 // on the flagged line or the line above; the reason is mandatory, so
-// every suppression is a written-down decision. The pass is built on
-// go/ast, go/parser and go/types only, with standard-library imports
+// every suppression is a written-down decision. The only other
+// directive is //ermvet:wire (see WireDrift); any other //ermvet: verb
+// is reported, so a typo cannot silently drop a gate. The pass is built
+// on go/ast, go/parser and go/types only, with standard-library imports
 // resolved from source (go/importer) — no third-party analyzer
 // framework.
 package analysis
@@ -52,16 +47,13 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding, resolved to a file position. Suppressed
 // marks findings silenced by a well-formed //ermvet:ignore directive;
-// Run keeps them so reporting surfaces (the -json CI feed, SARIF) can
-// show the written-down decisions alongside the live findings. Reason
-// carries the directive's mandatory rationale for suppressed findings,
-// so reporting surfaces can show the decision, not just that one was
-// made.
+// Run keeps them so the -json CI feed can show the written-down
+// decisions alongside the live findings, each with the directive's
+// mandatory rationale in Reason.
 type Diagnostic struct {
 	Check      string
 	Pos        token.Position
@@ -82,15 +74,12 @@ type Check struct {
 	Run func(*Pass)
 }
 
-// AllChecks is the full pass list, in reporting-name order. The
-// syntactic / function-granular v1 checks came first; goroleak, errdrop
-// and wiredrift are the flow-sensitive v2 layer built on the CFG and
-// call graph (cfg.go, callgraph.go); allocbudget and bodyclose are the
-// v3 layer, which adds interprocedural allocation budgets and
-// resource-lifetime dataflow on the same substrate; httpcontract and
-// lockorder are the v4 layer, which lifts the analysis from single
-// functions and packages to whole-module contracts.
-var AllChecks = []*Check{AllocBudget, BodyClose, CtxCancel, DetRand, ErrDrop, FloatEq, GoroLeak, GuardedBy, HTTPContract, LockOrder, MapOrder, WireDrift}
+// AllChecks is the full pass list, in reporting-name order. detrand and
+// guardedby are syntactic and function-granular; goroleak, errdrop,
+// bodyclose and wiredrift are built on the CFG and call graph (cfg.go,
+// callgraph.go); httpcontract and lockorder lift the analysis to
+// whole-module contracts.
+var AllChecks = []*Check{BodyClose, DetRand, ErrDrop, GoroLeak, GuardedBy, HTTPContract, LockOrder, WireDrift}
 
 // Module is the context every check runs in: the loaded packages plus
 // the module-wide facts the checks gate against, each computed once
@@ -101,29 +90,23 @@ var AllChecks = []*Check{AllocBudget, BodyClose, CtxCancel, DetRand, ErrDrop, Fl
 // and replaces the exported field.
 type Module struct {
 	Packages []*Package
-	// Graph is the module call graph goroleak, allocbudget and
-	// lockorder resolve calls through.
+	// Graph is the module call graph goroleak and lockorder resolve
+	// calls through.
 	Graph *CallGraph
 	// Routes is the registered-route table httpcontract resolves client
 	// call sites against.
 	Routes *RouteTable
 	// Manifest is the golden manifest wiredrift gates against and
-	// httpcontract resolves other packages' wire structs through. When
-	// nil, wiredrift runs its structural rules only (marker on a
-	// non-struct, missing version constant).
+	// resolves other packages' wire structs through. When nil, wiredrift
+	// runs its structural rules only (marker on a non-struct, missing
+	// version constant, unmarked struct at the JSON boundary).
 	Manifest *Manifest
-	// Timing, when set, receives each check's wall-clock duration after
-	// it runs over a package.
-	Timing func(check string, d time.Duration)
 
 	// guards holds the resolved "guarded by" annotations guardedby and
 	// lockorder share.
 	guards guards
 	// locks holds lockorder's findings by package.
 	locks map[*Package][]finding
-	// budget maps every function in the allocation budget to the
-	// //ermvet:hotpath root that first reaches it.
-	budget map[*types.Func]*types.Func
 }
 
 // finding is a module-wide fact's finding, reported by the pass over
@@ -144,7 +127,6 @@ func newModule(pkgs []*Package, manifest *Manifest) *Module {
 		guards:   resolveGuards(pkgs),
 	}
 	m.locks = analyzeLocks(pkgs, m.Graph, m.guards.fields)
-	m.budget = hotpathBudget(m.Graph)
 	return m
 }
 
@@ -186,11 +168,7 @@ func (m *Module) Run(pkg *Package, checks []*Check) []Diagnostic {
 			Check:   c.Name,
 			report:  func(d Diagnostic) { diags = append(diags, d) },
 		}
-		start := time.Now()
 		c.Run(pass)
-		if m.Timing != nil {
-			m.Timing(c.Name, time.Since(start))
-		}
 	}
 
 	ign, bad := ignoreDirectives(pkg)
@@ -230,36 +208,43 @@ type ignoreKey struct {
 	check string
 }
 
-const ignorePrefix = "//ermvet:ignore"
+const (
+	directivePrefix = "//ermvet:"
+	ignorePrefix    = directivePrefix + "ignore"
+)
 
-// ignoreDirectives scans every comment for suppression directives,
-// mapping each well-formed one to its reason string. A directive must
-// name a known check and carry a reason; anything else is reported as
-// an "ermvet" diagnostic so a silencing typo cannot silently widen the
-// gate.
+// ignoreDirectives scans every comment for ermvet directives, mapping
+// each well-formed suppression to its reason string. A suppression must
+// name a known check and carry a reason, and the only other verb is
+// wire; anything else is reported as an "ermvet" diagnostic, so a typo
+// can neither silently widen the gate nor leave a wire struct unpinned.
 func ignoreDirectives(pkg *Package) (map[ignoreKey]string, []Diagnostic) {
 	ign := make(map[ignoreKey]string)
 	var bad []Diagnostic
+	report := func(pos token.Position, format string, args ...any) {
+		bad = append(bad, Diagnostic{Check: "ermvet", Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, ignorePrefix)
+				rest, ok := strings.CutPrefix(c.Text, directivePrefix)
 				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				fields := strings.Fields(rest)
+				verb := ""
+				if len(fields) > 0 {
+					verb, fields = fields[0], fields[1:]
+				}
 				switch {
+				case directivePrefix+verb == wireMarker:
+				case directivePrefix+verb != ignorePrefix:
+					report(pos, "unknown directive %q: the only ermvet directives are %s and %s", directivePrefix+verb, ignorePrefix, wireMarker)
 				case len(fields) == 0 || !slices.ContainsFunc(AllChecks, func(k *Check) bool { return k.Name == fields[0] }):
-					bad = append(bad, Diagnostic{
-						Check: "ermvet", Pos: pos,
-						Message: fmt.Sprintf("malformed ignore directive: want %q with a known check name", ignorePrefix+" <check> <reason>"),
-					})
+					report(pos, "malformed ignore directive: want %q with a known check name", ignorePrefix+" <check> <reason>")
 				case len(fields) < 2:
-					bad = append(bad, Diagnostic{
-						Check: "ermvet", Pos: pos,
-						Message: fmt.Sprintf("ignore directive for %q is missing its reason: every suppression must say why", fields[0]),
-					})
+					report(pos, "ignore directive for %q is missing its reason: every suppression must say why", fields[0])
 				default:
 					ign[ignoreKey{pos.Filename, pos.Line, fields[0]}] = strings.Join(fields[1:], " ")
 				}
@@ -340,8 +325,7 @@ func recvNamed(fn *types.Func) (*types.Named, bool) {
 }
 
 // funcDisplay renders fn compactly, receiver-qualified without the
-// package path: "(*Server).handleRepair", matching the declName
-// inventory format.
+// package path: "(*Server).handleRepair".
 func funcDisplay(fn *types.Func) string {
 	named, ptr := recvNamed(fn)
 	switch {

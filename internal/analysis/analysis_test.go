@@ -87,7 +87,8 @@ func live(mod *analysis.Module, pkg *analysis.Package, checks ...*analysis.Check
 // so the //ermvet:ignore path is exercised throughout. A fixture
 // directory is named after the rule family it exercises: lockflow's
 // per-path rules now belong to lockorder, atomicmix's to guardedby and
-// metricdrift's to wiredrift.
+// metricdrift's to wiredrift, which also owns the JSON-boundary rule
+// (wiredrift/cluster).
 func TestChecks(t *testing.T) {
 	cases := []struct {
 		dir      string
@@ -96,13 +97,7 @@ func TestChecks(t *testing.T) {
 	}{
 		{dir: "detrand/measure", check: analysis.DetRand},
 		{dir: "detrand/other", check: analysis.DetRand},
-		{dir: "maporder/a", check: analysis.MapOrder},
 		{dir: "guardedby/a", check: analysis.GuardedBy},
-		{dir: "floateq/nn", check: analysis.FloatEq},
-		{dir: "floateq/other", check: analysis.FloatEq},
-		{dir: "ctxcancel/serve", check: analysis.CtxCancel},
-		{dir: "ctxcancel/cluster", check: analysis.CtxCancel},
-		{dir: "allocbudget/a", check: analysis.AllocBudget},
 		{dir: "bodyclose/cluster", check: analysis.BodyClose},
 		{dir: "bodyclose/other", check: analysis.BodyClose},
 		{dir: "atomicmix/a", check: analysis.GuardedBy},
@@ -111,6 +106,7 @@ func TestChecks(t *testing.T) {
 		{dir: "goroleak/other", check: analysis.GoroLeak},
 		{dir: "errdrop/a", check: analysis.ErrDrop},
 		{dir: "wiredrift/a", check: analysis.WireDrift},
+		{dir: "wiredrift/cluster", check: analysis.WireDrift},
 		{dir: "lockorder/a", check: analysis.LockOrder},
 		{dir: "httpcontract/cluster", check: analysis.HTTPContract},
 		{dir: "httpcontract/other", check: analysis.HTTPContract},
@@ -176,16 +172,21 @@ func claim(wants []*expectation, file string, line int, msg string) bool {
 }
 
 // TestMalformedIgnores pins the exact diagnostics for broken
-// suppressions: an ignore without a reason and an ignore naming an
-// unknown check both surface as unsuppressable "ermvet" findings, and
-// the reasonless one does not silence the maporder finding under it.
+// directives: an ignore without a reason, an ignore naming an unknown
+// check, and any //ermvet: verb other than ignore and wire (here a typo
+// of each) all surface as unsuppressable "ermvet" findings, and neither
+// the reasonless nor the misspelled ignore silences the errdrop finding
+// under it.
 func TestMalformedIgnores(t *testing.T) {
 	mod := loadFixture(t, "ignore/bad")
 	file := filepath.Join("testdata", "src", "ignore", "bad", "bad.go")
 	want := []string{
-		file + `:8:3: [ermvet] ignore directive for "maporder" is missing its reason: every suppression must say why`,
-		file + ":9:3: [maporder] map iteration appends to out, which is never sorted afterwards in this block; map order is random — sort it (with a total tie-break) or restructure",
-		file + `:14:1: [ermvet] malformed ignore directive: want "//ermvet:ignore <check> <reason>" with a known check name`,
+		file + `:9:2: [ermvet] ignore directive for "errdrop" is missing its reason: every suppression must say why`,
+		file + ":10:2: [errdrop] call to os.Remove drops its error result; handle it or suppress with //ermvet:ignore errdrop <reason>",
+		file + `:13:1: [ermvet] malformed ignore directive: want "//ermvet:ignore <check> <reason>" with a known check name`,
+		file + `:20:1: [ermvet] unknown directive "//ermvet:wier": the only ermvet directives are //ermvet:ignore and //ermvet:wire`,
+		file + `:24:2: [ermvet] unknown directive "//ermvet:ignroe": the only ermvet directives are //ermvet:ignore and //ermvet:wire`,
+		file + ":25:2: [errdrop] call to os.Remove drops its error result; handle it or suppress with //ermvet:ignore errdrop <reason>",
 	}
 	var got []string
 	for _, d := range live(mod, mod.Packages[0], analysis.AllChecks...) {
@@ -205,9 +206,9 @@ func TestMalformedIgnores(t *testing.T) {
 // TestModuleClean re-runs the full pass over the module from inside the
 // test suite, so `go test ./...` — not only scripts/check.sh — fails
 // the moment a determinism or locking invariant regresses (for example,
-// deleting the sort after a map-range in an annotated package). It runs
-// over the same Module the CLI builds: golden manifest, cross-package
-// call graph, route table and lock analysis included.
+// reading a guarded field without holding its mutex). It runs over the
+// same Module the CLI builds: golden manifest, cross-package call
+// graph, route table and lock analysis included.
 func TestModuleClean(t *testing.T) {
 	mod := loadedModule(t)
 	for _, pkg := range mod.Packages {
@@ -221,8 +222,8 @@ func TestModuleClean(t *testing.T) {
 // The module-wide context is built with the module, not per selected
 // check, so a check must be as clean alone as in the full set — the
 // golden manifest was once loaded only when wiredrift was selected,
-// and httpcontract alone then misreported every serve payload struct
-// the cluster handlers decode.
+// and the JSON-boundary rule (then httpcontract's) alone misreported
+// every serve payload struct the cluster handlers decode.
 func TestEachCheckAloneClean(t *testing.T) {
 	mod := loadedModule(t)
 	for _, c := range analysis.AllChecks {
@@ -234,15 +235,14 @@ func TestEachCheckAloneClean(t *testing.T) {
 	}
 }
 
-// TestCheckInventory pins the pass list: twelve checks, in
+// TestCheckInventory pins the pass list: eight checks, in
 // reporting-name order. Dropping a check from AllChecks would silently
 // shrink every gate built on it — the CLI, check.sh, TestModuleClean —
 // so the count and the names are fixed here.
 func TestCheckInventory(t *testing.T) {
 	want := []string{
-		"allocbudget", "bodyclose", "ctxcancel", "detrand", "errdrop",
-		"floateq", "goroleak", "guardedby", "httpcontract", "lockorder",
-		"maporder", "wiredrift",
+		"bodyclose", "detrand", "errdrop", "goroleak", "guardedby",
+		"httpcontract", "lockorder", "wiredrift",
 	}
 	var got []string
 	for _, c := range analysis.AllChecks {

@@ -69,76 +69,3 @@ func TestGuardedByInventory(t *testing.T) {
 		}
 	}
 }
-
-// TestHotpathInventory pins the //ermvet:hotpath roots and
-// //ermvet:coldpath prunes seeded on the columnar repair path and the
-// DQN training step. Deleting
-// an annotation fails this test, so the allocation budget cannot
-// silently shrink; a "cold:" entry records a deliberate prune and its
-// rationale's presence is enforced by the allocbudget check itself.
-func TestHotpathInventory(t *testing.T) {
-	want := map[string][]string{
-		"../measure/measure.go": {
-			"(*Evaluator).CoveredCandidates",
-			"(*Evaluator).Evaluate",
-			"(*Evaluator).ReleaseCover",
-			"(*Evaluator).columnarFullCover",
-			"(*Evaluator).filterCover",
-			"(*Evaluator).getCover",
-			"(*Evaluator).ruleProjection",
-		},
-		"../measure/posting.go": {
-			"cold:(*ColumnIndex).sync",
-			"condRows",
-			"intersectInto",
-			"mergeInto",
-			"subtractInto",
-		},
-		"../measure/groups.go": {
-			"appendGroupKey",
-			"appendLHSKey",
-		},
-		"../repair/repair.go": {
-			"applyRule",
-		},
-		"../nn/matrix.go": {
-			"MatMul",
-			"MatMulABT",
-			"MatMulATB",
-			"cold:grow",
-			"cold:shapePanic",
-		},
-		"../nn/layer.go": {
-			"(*Dense).Backward",
-			"(*Dense).Forward",
-			"(*ReLU).Backward",
-			"(*ReLU).Forward",
-		},
-		"../nn/optim.go": {
-			"(*Adam).Step",
-			"cold:(*Adam).initMoments",
-		},
-		"../rl/dqn.go": {
-			"(*Agent).TrainStep",
-		},
-	}
-	for file, fns := range want {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", file, err)
-		}
-		var got []string
-		for _, a := range analysis.HotpathAnnotations(f) {
-			name := a.Func
-			if a.Cold {
-				name = "cold:" + name
-			}
-			got = append(got, name)
-		}
-		sort.Strings(got)
-		if !reflect.DeepEqual(got, fns) {
-			t.Errorf("%s hotpath inventory:\ngot:  %v\nwant: %v", file, got, fns)
-		}
-	}
-}

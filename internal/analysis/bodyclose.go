@@ -7,19 +7,12 @@ import (
 	"sort"
 )
 
-// bodyclosePkgs are the packages that talk HTTP: the cluster
-// coordinator's fan-out client and the serving daemon. An unclosed
-// *http.Response body leaks the underlying connection, and under the
-// hedged re-dispatch loop a leak per retry exhausts the transport's
-// pool exactly when the cluster is already degraded.
-var bodyclosePkgs = map[string]bool{
-	"cluster": true,
-	"serve":   true,
-}
-
 // BodyClose requires every *http.Response obtained from a call in the
-// HTTP-speaking packages to reach a Body.Close() on all CFG paths on
-// which the response is used. The dataflow is per-variable over the
+// HTTP-speaking packages (servingPkgs) to reach a Body.Close() on all
+// CFG paths on which the response is used. An unclosed body leaks its
+// connection, and under the hedged re-dispatch loop a leak per retry
+// exhausts the transport's pool exactly when the cluster is already
+// degraded. The dataflow is per-variable over the
 // basic-block CFG: a response is "open" once assigned from a call,
 // "open and used" once a field or Body is touched, and "closed" by
 // v.Body.Close(). A used-open response reaching function exit — or
@@ -37,7 +30,7 @@ var BodyClose = &Check{
 }
 
 func runBodyClose(pass *Pass) {
-	if !bodyclosePkgs[pass.Types.Name()] {
+	if !servingPkgs[pass.Types.Name()] {
 		return
 	}
 	for _, f := range pass.Files {

@@ -20,10 +20,10 @@ type CallGraph struct {
 	// full name for deterministic traversal.
 	callees map[*types.Func][]*types.Func
 	// direct is callees restricted to calls made outside any nested
-	// function literal. allocbudget traverses these edges: a literal's
-	// body only runs when the literal is invoked, and creating the
-	// literal is itself a flagged allocation, so the budget treats
-	// closures as opaque boundaries (like cfg.go treats them for flow).
+	// function literal. lockorder's summaries traverse these edges: a
+	// literal's body only runs when the literal is invoked, so they
+	// treat closures as opaque boundaries (like cfg.go treats them for
+	// flow).
 	direct map[*types.Func][]*types.Func
 	// decls maps a function object to its syntax, when the declaration
 	// is in one of the analysed packages.
@@ -129,18 +129,8 @@ func (g *CallGraph) Callees(fn *types.Func) []*types.Func { return g.callees[fn]
 
 // DirectCallees returns the callees fn calls outside any nested
 // function literal, in deterministic order. See the direct field for
-// why allocbudget wants this narrower edge set.
+// why lockorder wants this narrower edge set.
 func (g *CallGraph) DirectCallees(fn *types.Func) []*types.Func { return g.direct[fn] }
-
-// Decls returns every function with a declaration in the analysed
-// packages, sorted by full name for deterministic traversal.
-func (g *CallGraph) Decls() []*types.Func {
-	set := make(map[*types.Func]bool, len(g.decls))
-	for fn := range g.decls {
-		set[fn] = true
-	}
-	return sortedFuncs(set)
-}
 
 // DeclOf returns the syntax of fn's declaration, or nil when fn was
 // declared outside the analysed packages.

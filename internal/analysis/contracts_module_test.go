@@ -85,9 +85,7 @@ func TestRouteContractGates(t *testing.T) {
 	}
 
 	// With the full table the cluster package is clean, so the finding
-	// above is attributable to the removal alone. The module's golden
-	// manifest resolves the serve-side payload structs the cluster
-	// handlers hand to encoding/json.
+	// above is attributable to the removal alone.
 	if diags := live(mod, clusterPkg, analysis.HTTPContract); len(diags) != 0 {
 		t.Errorf("cluster is not httpcontract-clean against the full route table: %v", diags)
 	}

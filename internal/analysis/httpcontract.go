@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
-	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -15,23 +14,22 @@ import (
 // and call each other through `http.NewRequest*` and fan-out helpers;
 // both sides name paths through the shared serve.Path* constants, so
 // every side of the contract constant-folds. The check requires (1)
-// every registration pattern to be a constant carrying a method, (2)
+// every registration pattern to be a constant carrying a method and (2)
 // every client-side (method, path) pair to resolve to a registered
 // route with a matching method — a client hitting an unregistered path
-// or the wrong verb is a build failure, not a runtime 404 — and (3)
-// every module-local struct handed directly to encoding/json across the
-// process boundary to be an //ermvet:wire-versioned shape, so the two
-// ends can never decode different layouts of the same route.
+// or the wrong verb is a build failure, not a runtime 404. The structs
+// that cross the same boundary as JSON are wiredrift's.
 var HTTPContract = &Check{
 	Name: "httpcontract",
-	Doc:  "client (method, path) pairs must resolve to registered mux routes; cross-process JSON structs must be //ermvet:wire-versioned",
+	Doc:  "client (method, path) pairs must resolve to registered mux routes",
 	Run:  runHTTPContract,
 }
 
-// httpcontractPkgs scopes the check to the two serving roles. The
-// protocol exists between them; the mining packages neither register
-// nor call HTTP routes.
-var httpcontractPkgs = map[string]bool{
+// servingPkgs are the two serving roles, the daemon and the
+// coordinator: the only packages that talk HTTP. The protocol, its
+// response bodies and the structs it carries as JSON all live between
+// them; the mining packages neither register nor call routes.
+var servingPkgs = map[string]bool{
 	"serve":   true,
 	"cluster": true,
 }
@@ -94,7 +92,7 @@ func parsePattern(pat string) (method, path string) {
 func collectRoutes(pkgs []*Package) *RouteTable {
 	table := &RouteTable{}
 	for _, pkg := range pkgs {
-		if !httpcontractPkgs[pkg.Types.Name()] {
+		if !servingPkgs[pkg.Types.Name()] {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -202,73 +200,11 @@ func routeOperand(pkg *Package, expr ast.Expr) (string, bool) {
 	return "", false
 }
 
-// jsonBoundaryArg returns the value argument when call is a direct
-// encoding/json Marshal/Unmarshal/Encode/Decode, else nil.
-func jsonBoundaryArg(pkg *Package, call *ast.CallExpr) ast.Expr {
-	fn := StaticCallee(pkg.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/json" {
-		return nil
-	}
-	switch fn.Name() {
-	case "Marshal", "Unmarshal", "Encode", "Decode":
-		// Marshal(v) / Encode(v): arg 0; Unmarshal(data, v) / Decode(v):
-		// the value is the last argument in every signature.
-		if len(call.Args) == 0 {
-			return nil
-		}
-		return call.Args[len(call.Args)-1]
-	}
-	return nil
-}
-
-// wireCheckJSONArg requires arg's module-local named-struct type to be
-// a wire-versioned shape. Interface-typed arguments (the generic
-// writeJSON/decodeJSON helpers) and non-struct types are out of scope.
-func wireCheckJSONArg(pass *Pass, marked map[string]bool, arg ast.Expr) {
-	tv, ok := pass.Info.Types[arg]
-	if !ok || tv.Type == nil {
-		return
-	}
-	t := tv.Type
-	for t != deref(t) {
-		t = deref(t)
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return
-	}
-	pkgPath := named.Obj().Pkg().Path()
-	if moduleRootOf(pkgPath) != moduleRootOf(pass.Path) {
-		return
-	}
-	if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
-		return
-	}
-	key := pkgPath + "." + named.Obj().Name()
-	if marked[key] {
-		return
-	}
-	if m := pass.Module.Manifest; m != nil {
-		if _, ok := m.Structs[key]; ok {
-			return
-		}
-	}
-	pass.Reportf(arg.Pos(),
-		"%s crosses the HTTP boundary via encoding/json but is not an //ermvet:wire-versioned shape; mark it so both ends pin the same layout",
-		key)
-}
-
 func runHTTPContract(pass *Pass) {
-	if !httpcontractPkgs[pass.Types.Name()] {
+	if !servingPkgs[pass.Types.Name()] {
 		return
 	}
 	table := pass.Module.Routes
-	// Wire markers of the current package; cross-package shapes resolve
-	// through the module's golden manifest.
-	marked := make(map[string]bool)
-	for _, ws := range collectWireStructs(pass.Package) {
-		marked[pass.Path+"."+ws.name] = true
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -297,11 +233,6 @@ func runHTTPContract(pass *Pass) {
 				} else if pok && !mok {
 					pass.Reportf(call.Args[mi].Pos(), "request for %s is built with a non-constant method; pass the method explicitly so the (method, path) pair can be contract-checked", path)
 				}
-				return true
-			}
-			// The JSON boundary: structs crossing between the roles.
-			if arg := jsonBoundaryArg(pass.Package, call); arg != nil {
-				wireCheckJSONArg(pass, marked, arg)
 				return true
 			}
 			// Fan-out helpers: any other call carrying a route-path

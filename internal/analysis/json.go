@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"time"
 )
 
 // diagJSON is the machine-readable finding format `ermvet -json` emits,
@@ -41,34 +39,6 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 		}
 		if err := enc.Encode(j); err != nil {
 			return fmt.Errorf("analysis: encoding diagnostic: %w", err)
-		}
-	}
-	return nil
-}
-
-// timingJSON is the per-check timing record `ermvet -json -timing`
-// appends after the findings. Record discriminates it from diagnostics
-// in the shared NDJSON stream, so consumers select on it instead of
-// guessing from missing fields.
-type timingJSON struct {
-	Record string  `json:"record"`
-	Check  string  `json:"check"`
-	Ms     float64 `json:"ms"`
-}
-
-// WriteTimingsJSON renders per-check wall-clock totals as NDJSON
-// records, sorted by check name for stable output.
-func WriteTimingsJSON(w io.Writer, timings map[string]time.Duration) error {
-	names := make([]string, 0, len(timings))
-	for name := range timings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	enc := json.NewEncoder(w)
-	for _, name := range names {
-		rec := timingJSON{Record: "timing", Check: name, Ms: float64(timings[name].Microseconds()) / 1000}
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("analysis: encoding timing record: %w", err)
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 )
 
@@ -13,17 +12,8 @@ const (
 	pathJobs   = "/v1/jobs/{id}"
 )
 
-//ermvet:wire
 type batch struct {
 	Rows int `json:"rows"`
-}
-
-const batchVersion = 1
-
-var _ = batchVersion
-
-type plain struct {
-	N int `json:"n"`
 }
 
 func pattern() string { return "GET /v1/dynamic" }
@@ -64,12 +54,7 @@ func fanout(ctx context.Context) {
 	helperNoMethod(ctx, pathRepair)                     // want `route /v1/repair is passed with no constant HTTP method in the same call`
 }
 
-func send(b batch, p plain) {
-	_, _ = json.Marshal(b)
-	_, _ = json.Marshal(p) // want `fixture/httpcontract/cluster.plain crosses the HTTP boundary via encoding/json but is not an //ermvet:wire-versioned shape`
-}
-
-func suppressedSend(p plain) {
-	//ermvet:ignore httpcontract fixture: deliberately unversioned struct to exercise suppression
-	_, _ = json.Marshal(p)
+func suppressedMissing(base string) {
+	//ermvet:ignore httpcontract fixture: deliberately unregistered path to exercise suppression
+	_, _ = http.NewRequest("POST", base+"/v1/absent", nil)
 }

@@ -2,6 +2,8 @@
 // that need no manifest).
 package a
 
+import "encoding/json"
+
 // notAStruct carries the wire marker but is not a struct.
 //
 //ermvet:wire
@@ -31,3 +33,12 @@ const goodVersion = 1
 type unversioned struct {
 	A int
 }
+
+// local is not a wire struct, but package a is no serving package: its
+// JSON never crosses the process boundary, so the JSON-boundary rule
+// leaves it alone.
+type local struct {
+	A int
+}
+
+func save() ([]byte, error) { return json.Marshal(local{}) }

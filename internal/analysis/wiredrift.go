@@ -30,6 +30,13 @@ import (
 //     decision, never a casual field rename. (DESIGN.md decision 15
 //     records why this is a source-shape manifest rather than a gob
 //     round-trip.)
+//   - The JSON boundary: in the serving packages (servingPkgs), every
+//     module-local struct handed directly to encoding/json crosses the
+//     coordinator↔worker process boundary, so it must be a wire root
+//     too — marked in its package, or recorded in the manifest when
+//     another package declares it — and the two ends can never decode
+//     different layouts of the same route. Elsewhere encoding/json
+//     writes local files, which the marked roots already cover.
 //   - Metric names: every erminerd_*/ermcluster_* name the daemon and
 //     the coordinator emit. Dashboards and alert rules key on these
 //     names by string, so a rename or drop is a breaking interface
@@ -38,7 +45,7 @@ import (
 //     whole contract, so `ermvet -update` simply records it.
 var WireDrift = &Check{
 	Name: "wiredrift",
-	Doc:  "//ermvet:wire struct shapes and erminerd_/ermcluster_ metric names must match the golden manifest; changes need ermvet -update (plus a version bump for shapes)",
+	Doc:  "//ermvet:wire struct shapes and erminerd_/ermcluster_ metric names must match the golden manifest; changes need ermvet -update (plus a version bump for shapes); serve/cluster JSON structs must be wire structs",
 	Run:  runWireDrift,
 }
 
@@ -351,6 +358,9 @@ func runWireDrift(pass *Pass) {
 				ws.name, ws.name, entry.Version, live.Version)
 		}
 	}
+	if servingPkgs[pass.Types.Name()] {
+		checkJSONBoundary(pass, livePresent)
+	}
 	if manifest == nil {
 		return
 	}
@@ -397,6 +407,74 @@ func runWireDrift(pass *Pass) {
 		pass.Reportf(pos,
 			"manifest metric %s is no longer emitted by package %s; renaming or dropping a metric breaks its scrape consumers — regenerate with ermvet -update",
 			name, pass.Types.Name())
+	}
+}
+
+// jsonBoundaryArg returns the value argument when call is a direct
+// encoding/json Marshal/Unmarshal/Encode/Decode, else nil.
+func jsonBoundaryArg(pkg *Package, call *ast.CallExpr) ast.Expr {
+	fn := StaticCallee(pkg.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/json" {
+		return nil
+	}
+	switch fn.Name() {
+	case "Marshal", "Unmarshal", "Encode", "Decode":
+		// Marshal(v) / Encode(v): arg 0; Unmarshal(data, v) / Decode(v):
+		// the value is the last argument in every signature.
+		if len(call.Args) == 0 {
+			return nil
+		}
+		return call.Args[len(call.Args)-1]
+	}
+	return nil
+}
+
+// checkJSONBoundary requires the module-local named struct of every
+// encoding/json value argument in the package to be a wire struct:
+// marked here (marked holds this package's markers) or recorded in the
+// manifest. Interface-typed arguments (the generic WriteJSON/DecodeJSON
+// helpers) and non-struct types are out of scope.
+func checkJSONBoundary(pass *Pass, marked map[string]bool) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			arg := jsonBoundaryArg(pass.Package, call)
+			if arg == nil {
+				return true
+			}
+			tv, ok := pass.Info.Types[arg]
+			if !ok || tv.Type == nil {
+				return true
+			}
+			t := tv.Type
+			for t != deref(t) {
+				t = deref(t)
+			}
+			named, ok := t.(*types.Named)
+			if !ok || named.Obj().Pkg() == nil {
+				return true
+			}
+			pkgPath := named.Obj().Pkg().Path()
+			if _, isStruct := named.Underlying().(*types.Struct); !isStruct || moduleRootOf(pkgPath) != moduleRootOf(pass.Path) {
+				return true
+			}
+			key := pkgPath + "." + named.Obj().Name()
+			if marked[key] {
+				return true
+			}
+			if m := pass.Module.Manifest; m != nil {
+				if _, ok := m.Structs[key]; ok {
+					return true
+				}
+			}
+			pass.Reportf(arg.Pos(),
+				"%s crosses the HTTP boundary via encoding/json but is not an //ermvet:wire-versioned shape; mark it so both ends pin the same layout",
+				key)
+			return true
+		})
 	}
 }
 

@@ -47,9 +47,7 @@ func (c *IndexCache) get(key []byte, build func() masterIndex) (idx masterIndex,
 	c.mu.Lock()
 	e, ok := c.entries[string(key)]
 	if !ok {
-		//ermvet:ignore allocbudget one entry per distinct index key; hits take the read above
 		e = &cacheEntry{}
-		//ermvet:ignore allocbudget cache insert happens once per distinct index key
 		c.entries[string(key)] = e
 	}
 	c.mu.Unlock()

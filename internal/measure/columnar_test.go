@@ -177,13 +177,15 @@ func TestReleaseCoverReuse(t *testing.T) {
 
 // TestEvaluateZeroAlloc is the allocation gate of the columnar hot
 // path: with warmed caches and the cover buffer recycled, Evaluate,
-// PatternCover and CoveredCandidates must not allocate. The closing
-// sweep drives the repair-request shape (cover intersection, then one
-// candidate lookup per covered row) over every synthetic rule — mixed
-// LHS widths and guard patterns — so every //ermvet:hotpath function
-// reachable from a repair request executes under the allocation
-// counter, the dynamic counterpart of the static allocbudget check.
-// CI runs this test by name; keep it green or the build gate fails.
+// PatternCover and CoveredCandidates must not allocate. The mining
+// shapes run a child rule over its parent's cover (filterCover) and
+// patterns that reach every posting kernel: two conditions
+// (intersectInto), a condition with several codes (mergeInto) and a
+// negated one (subtractInto). The closing sweep drives the
+// repair-request shape (cover intersection, then one candidate lookup
+// per covered row) over every synthetic rule — mixed LHS widths and
+// guard patterns. scripts/check.sh runs this test without -race; keep
+// it green or the build gate fails.
 func TestEvaluateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -210,6 +212,29 @@ func TestEvaluateZeroAlloc(t *testing.T) {
 			ev.ReleaseCover(ev.PatternCover(r, nil))
 		}); allocs != 0 {
 			t.Errorf("%s: PatternCover allocates %.1f/op on a warmed cache, want 0", name, allocs)
+		}
+	}
+	base := rule.New([]rule.AttrPair{{Input: 0, Master: 0}}, 3, 2, nil)
+	parent := base.WithCondition(rule.Eq(2, input.DomainCodes(2)[0]))
+	child := parent.WithCondition(rule.Eq(1, input.DomainCodes(1)[0]))
+	parentCover := ev.PatternCover(parent, nil)
+	for _, tc := range []struct {
+		name   string
+		r      *rule.Rule
+		parent []int32
+	}{
+		{"child over parent cover", child, parentCover},
+		{"two conditions", child, nil},
+		{"several codes", base.WithCondition(rule.NewCondition(1, input.DomainCodes(1)[:3], "")), nil},
+		{"negated", base.WithCondition(rule.NotEq(2, input.DomainCodes(2)[1])), nil},
+	} {
+		for i := 0; i < 3; i++ {
+			ev.ReleaseCover(ev.Evaluate(tc.r, tc.parent).PatternCover)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			ev.ReleaseCover(ev.Evaluate(tc.r, tc.parent).PatternCover)
+		}); allocs != 0 {
+			t.Errorf("%s: Evaluate allocates %.1f/op on a warmed cache, want 0", tc.name, allocs)
 		}
 	}
 	r := rules[len(rules)-1]

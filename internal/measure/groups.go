@@ -67,8 +67,6 @@ func buildProjection(in *relation.Relation, lhs []rule.AttrPair, idx masterIndex
 // single key builder shared by the master index and the group
 // projection (and by the test oracle's input key), so they can never
 // drift apart.
-//
-//ermvet:hotpath
 func appendLHSKey(buf []byte, rel *relation.Relation, row int, lhs []rule.AttrPair, master bool) ([]byte, bool) {
 	for _, p := range lhs {
 		a := p.Input
@@ -88,8 +86,6 @@ func appendLHSKey(buf []byte, rel *relation.Relation, row int, lhs []rule.AttrPa
 // encoded (Input, Master) attribute pairs plus Y_m. Two rules with the
 // same LHS and dependent master attribute share one projection
 // regardless of their patterns.
-//
-//ermvet:hotpath
 func appendGroupKey(buf []byte, r *rule.Rule) []byte {
 	for _, p := range r.LHS {
 		buf = appendCode(buf, int32(p.Input))

@@ -241,7 +241,6 @@ func (e *Evaluator) index(r *rule.Rule) masterIndex {
 		e.idxKeyBuf = appendCode(e.idxKeyBuf, int32(p.Master))
 	}
 	e.idxKeyBuf = appendCode(e.idxKeyBuf, int32(r.Ym))
-	//ermvet:ignore allocbudget cache-miss builder closure runs once per (X_m, Y_m) index
 	idx, built := e.cache.get(e.idxKeyBuf, func() masterIndex {
 		return buildIndex(e.master, r)
 	})
@@ -294,8 +293,6 @@ func (e *Evaluator) Candidates(r *rule.Rule, row int) (*Hist, bool) {
 // rule's pattern (typically drawn from its PatternCover): it skips the
 // per-row pattern re-check, which is what makes cover-driven repair
 // (repair.ApplyContext) sub-linear in the relation size.
-//
-//ermvet:hotpath
 func (e *Evaluator) CoveredCandidates(r *rule.Rule, row int) (*Hist, bool) {
 	if len(r.LHS) == 0 {
 		return nil, false
@@ -319,8 +316,6 @@ func (e *Evaluator) CoveredCandidates(r *rule.Rule, row int) (*Hist, bool) {
 // The returned cover may come from the evaluator's buffer freelist:
 // callers that are done with it can hand it back via ReleaseCover to
 // keep steady-state evaluation allocation-free.
-//
-//ermvet:hotpath
 func (e *Evaluator) Evaluate(r *rule.Rule, parentCover []int32) Measures {
 	e.Stats.Evaluations++
 
@@ -379,8 +374,6 @@ func (e *Evaluator) PatternCover(r *rule.Rule, parentCover []int32) []int32 {
 
 // getCover pops a cover buffer of at least the given capacity from the
 // freelist, or allocates one. The returned slice is non-nil and empty.
-//
-//ermvet:hotpath
 func (e *Evaluator) getCover(capacity int) []int32 {
 	if n := len(e.coverFree); n > 0 {
 		c := e.coverFree[n-1]
@@ -391,7 +384,6 @@ func (e *Evaluator) getCover(capacity int) []int32 {
 		}
 		// Too small: drop it and allocate at the requested size.
 	}
-	//ermvet:ignore allocbudget freelist miss: first use at this capacity; steady state reuses released covers
 	return make([]int32, 0, capacity)
 }
 
@@ -403,8 +395,6 @@ const maxCoverFree = 256
 // to the evaluator's freelist for reuse. Passing nil is a no-op. The
 // caller must not use the slice afterwards, and must call it on the
 // same goroutine that owns the evaluator (shards own their freelists).
-//
-//ermvet:hotpath
 func (e *Evaluator) ReleaseCover(c []int32) {
 	if cap(c) == 0 || len(e.coverFree) >= maxCoverFree {
 		return
@@ -417,8 +407,6 @@ func (e *Evaluator) ReleaseCover(c []int32) {
 // ascending), so the engine keeps the row loop here — posting
 // intersections apply only to full-relation scans — and the output
 // keeps the parent cover's order exactly.
-//
-//ermvet:hotpath
 func (e *Evaluator) filterCover(r *rule.Rule, parentCover []int32) []int32 {
 	in := e.input
 	out := e.getCover(len(parentCover))
@@ -434,8 +422,6 @@ func (e *Evaluator) filterCover(r *rule.Rule, parentCover []int32) []int32 {
 // k-way intersection of per-condition posting lists, smallest list
 // first. The output is ascending row ids — bit-identical to a
 // row-by-row MatchesPattern scan of the relation.
-//
-//ermvet:hotpath
 func (e *Evaluator) columnarFullCover(r *rule.Rule) []int32 {
 	if len(r.Pattern) == 0 {
 		all := e.columns.allRows()
@@ -498,15 +484,12 @@ func (e *Evaluator) columnarFullCover(r *rule.Rule) []int32 {
 // ruleProjection returns the rule's group projection, memoised on rule
 // pointer identity so repeated evaluations of one rule skip the cache
 // mutex entirely.
-//
-//ermvet:hotpath
 func (e *Evaluator) ruleProjection(r *rule.Rule) *groupProjection {
 	if e.memoRule == r && e.memoVersion == e.input.Version() && e.memoMasterVersion == e.master.Version() {
 		return e.memoProj
 	}
 	idx := e.index(r)
 	e.keyBuf = appendGroupKey(e.keyBuf[:0], r)
-	//ermvet:ignore allocbudget cache-miss builder closure runs once per projection key
 	gp := e.columns.projection(e.keyBuf, func() *groupProjection {
 		return buildProjection(e.input, r.LHS, idx)
 	})

@@ -129,8 +129,6 @@ func (ci *ColumnIndex) Relation() *relation.Relation { return ci.rel }
 // and group projections are dropped only when appends occurred (their
 // rowGroup must cover the new rows) or their LHS input attributes were
 // touched. When the log has expired, everything is dropped.
-//
-//ermvet:coldpath runs work only when the relation mutated; steady-state accesses take the version fast path
 func (ci *ColumnIndex) sync() {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
@@ -266,7 +264,6 @@ func (ci *ColumnIndex) postings(attr int) *attrPostings {
 		}
 		e := ci.attrs[attr]
 		if e == nil {
-			//ermvet:ignore allocbudget one entry per attribute per relation version
 			e = &postingEntry{version: ci.version}
 			ci.attrs[attr] = e
 		}
@@ -306,7 +303,6 @@ func (ci *ColumnIndex) allRows() []int32 {
 			continue
 		}
 		if ci.all == nil {
-			//ermvet:ignore allocbudget identity row list built once per relation version
 			all := make([]int32, ci.rel.NumRows())
 			for i := range all {
 				all[i] = int32(i)
@@ -332,9 +328,7 @@ func (ci *ColumnIndex) projection(key []byte, build func() *groupProjection) *gr
 		}
 		e, ok := ci.groups[string(key)]
 		if !ok {
-			//ermvet:ignore allocbudget one entry per rule key per relation version
 			e = &groupEntry{version: ci.version}
-			//ermvet:ignore allocbudget cache insert happens once per rule key; hits take the read above
 			ci.groups[string(key)] = e
 		}
 		ci.mu.Unlock()
@@ -356,7 +350,6 @@ func (ci *ColumnIndex) projection(key []byte, build func() *groupProjection) *gr
 func (ci *ColumnIndex) dropTornGroup(key []byte, e *groupEntry) {
 	ci.mu.Lock()
 	if ci.groups[string(key)] == e {
-		//ermvet:ignore allocbudget torn-build recovery only, never on the steady-state path
 		delete(ci.groups, string(key))
 	}
 	ci.mu.Unlock()
@@ -364,8 +357,6 @@ func (ci *ColumnIndex) dropTornGroup(key []byte, e *groupEntry) {
 
 // mergeInto appends the ascending union of a and b (both ascending,
 // mutually disjoint or not) to dst and returns it.
-//
-//ermvet:hotpath
 func mergeInto(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -389,8 +380,6 @@ func mergeInto(dst, a, b []int32) []int32 {
 
 // subtractInto appends base minus sub (both ascending) to dst and
 // returns it.
-//
-//ermvet:hotpath
 func subtractInto(dst, base, sub []int32) []int32 {
 	j := 0
 	for _, v := range base {
@@ -408,8 +397,6 @@ func subtractInto(dst, base, sub []int32) []int32 {
 // intersectInto appends the ascending intersection of a and b to dst
 // and returns it. When the lengths are lopsided it gallops through the
 // longer list with a doubling probe instead of stepping linearly.
-//
-//ermvet:hotpath
 func intersectInto(dst, a, b []int32) []int32 {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -477,8 +464,6 @@ type condBufs struct {
 // condRows computes the ascending row ids satisfying cond. The result
 // may alias the attribute's posting lists or the scratch buffers, so
 // callers must copy it before retaining it.
-//
-//ermvet:hotpath
 func condRows(p *attrPostings, cond rule.Condition, bufs *condBufs) []int32 {
 	if !cond.Negate && len(cond.Codes) == 1 {
 		return p.rows[cond.Codes[0]]

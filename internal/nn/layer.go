@@ -34,8 +34,6 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 
 // Forward returns x·W + b in the layer's output workspace, valid until
 // the next Forward. It keeps x for Backward.
-//
-//ermvet:hotpath
 func (d *Dense) Forward(x *Matrix) *Matrix {
 	d.x = x
 	d.out = resize(d.out, x.Rows, d.W.Value.Cols)
@@ -54,8 +52,6 @@ func (d *Dense) Forward(x *Matrix) *Matrix {
 // respect to the last Forward's output) to W.Grad and B.Grad and
 // returns the gradient with respect to the input, in the layer's
 // workspace.
-//
-//ermvet:hotpath
 func (d *Dense) Backward(gradOut *Matrix) *Matrix {
 	d.accumulate(gradOut)
 	d.dx = resize(d.dx, gradOut.Rows, d.W.Value.Rows)
@@ -91,8 +87,6 @@ type ReLU struct {
 
 // Forward returns max(x, 0) in the layer's output workspace, valid
 // until the next Forward. It keeps x for Backward.
-//
-//ermvet:hotpath
 func (r *ReLU) Forward(x *Matrix) *Matrix {
 	r.x = x
 	r.out = resize(r.out, x.Rows, x.Cols)
@@ -115,8 +109,6 @@ func negative(v float64) uint64 {
 
 // Backward returns gradOut with the entries whose input was negative
 // zeroed, in the layer's workspace.
-//
-//ermvet:hotpath
 func (r *ReLU) Backward(gradOut *Matrix) *Matrix {
 	r.grad = resize(r.grad, gradOut.Rows, gradOut.Cols)
 	g := r.grad.Data[:len(gradOut.Data)]

@@ -68,13 +68,9 @@ func resize(ws *Matrix, rows, cols int) *Matrix {
 }
 
 // grow allocates a workspace.
-//
-//ermvet:coldpath a workspace grows only when a network first sees a larger batch
 func grow(rows, cols int) *Matrix { return NewMatrix(rows, cols) }
 
 // shapePanic reports a product or transpose of incompatible shapes.
-//
-//ermvet:coldpath panics on a shape mismatch, which only a bug produces
 func shapePanic(op string, out, a, b *Matrix) {
 	panic(fmt.Sprintf("nn: %s shape mismatch (%dx%d) from (%dx%d), (%dx%d)",
 		op, out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -87,8 +83,6 @@ func shapePanic(op string, out, a, b *Matrix) {
 // (DESIGN.md decision 22). The non-zero terms of a row are applied four
 // at a time, so an output element is loaded and stored once per four
 // terms; it still rounds after each addition, in order.
-//
-//ermvet:hotpath
 func MatMul(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		shapePanic("MatMul", out, a, b)
@@ -129,8 +123,6 @@ func MatMul(out, a, b *Matrix) {
 
 // MatMulATB computes out = aᵀ·b, overwriting out, which must be
 // a.Cols×b.Cols, and at, which must be a.Cols×a.Rows, with aᵀ.
-//
-//ermvet:hotpath
 func MatMulATB(out, a, b, at *Matrix) {
 	transpose(at, a)
 	MatMul(out, at, b)
@@ -138,8 +130,6 @@ func MatMulATB(out, a, b, at *Matrix) {
 
 // MatMulABT computes out = a·bᵀ, overwriting out, which must be
 // a.Rows×b.Rows, and bt, which must be b.Cols×b.Rows, with bᵀ.
-//
-//ermvet:hotpath
 func MatMulABT(out, a, b, bt *Matrix) {
 	transpose(bt, b)
 	MatMul(out, a, bt)

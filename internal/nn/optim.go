@@ -23,8 +23,6 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step updates params from their accumulated gradients.
-//
-//ermvet:hotpath
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -48,8 +46,6 @@ func (a *Adam) Step(params []*Param) {
 }
 
 // initMoments allocates p's zero moment vectors.
-//
-//ermvet:coldpath a parameter's moments are allocated on its first step only
 func (a *Adam) initMoments(p *Param) (m, v []float64) {
 	m = make([]float64, len(p.Value.Data))
 	v = make([]float64, len(p.Value.Data))

@@ -115,8 +115,6 @@ func ApplyContext(ctx context.Context, ev *measure.Evaluator, rules []*rule.Rule
 // certainty-weighted vote merge. It is the steady-state inner loop of a
 // repair request, so it anchors the allocation budget on the repair
 // side the way Evaluate anchors it on the measure side.
-//
-//ermvet:hotpath
 func applyRule(ev *measure.Evaluator, r *rule.Rule, scores []map[int32]float64) {
 	cover := ev.PatternCover(r, nil)
 	for _, row := range cover {
@@ -126,12 +124,10 @@ func applyRule(ev *measure.Evaluator, r *rule.Rule, scores []map[int32]float64) 
 		}
 		m := scores[row]
 		if m == nil {
-			//ermvet:ignore allocbudget first fix for a row allocates its score map once; maps are pooled and emptied, not freed
 			m = make(map[int32]float64, len(h.Counts))
 			scores[row] = m
 		}
 		for v, c := range h.Counts {
-			//ermvet:ignore allocbudget vote-map growth is bounded by the Y domain; the backing is pooled across requests
 			m[v] += float64(c) / float64(h.Total)
 		}
 	}

@@ -255,11 +255,10 @@ func TestApplyContextCancellation(t *testing.T) {
 
 // TestApplyRuleZeroAllocSteadyState is the repair-side allocation
 // gate: once a request's score maps exist and the evaluator's caches
-// are warm, applyRule — the per-rule inner loop of ApplyContext and an
-// //ermvet:hotpath root — must not allocate. Together with the measure
-// package's TestEvaluateZeroAlloc it proves dynamically, on one
-// execution each, what the allocbudget check enforces statically on
-// every path: a steady-state repair request stays off the heap.
+// are warm, applyRule — the per-rule inner loop of ApplyContext — must
+// not allocate. Together with the measure package's
+// TestEvaluateZeroAlloc it pins that a steady-state repair request
+// stays off the heap. scripts/check.sh runs it without -race.
 func TestApplyRuleZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")

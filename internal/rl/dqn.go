@@ -271,8 +271,6 @@ func (a *Agent) Observe(t Transition) {
 // Warmup or BatchSize) it returns (0, false), which callers must not
 // confuse with a genuine zero-loss step. Once every buffer and
 // workspace exists it allocates nothing.
-//
-//ermvet:hotpath
 func (a *Agent) TrainStep() (loss float64, stepped bool) {
 	if a.replayLen() < a.cfg.Warmup || a.replayLen() < a.cfg.BatchSize {
 		return 0, false

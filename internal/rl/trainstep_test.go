@@ -40,10 +40,10 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-// TestTrainStepZeroAlloc is the dynamic half of the training step's
-// allocation gate (ermvet's allocbudget check is the static half): once
-// warm at batch 32, an optimisation step allocates nothing, for uniform,
-// double-DQN and prioritized replay alike.
+// TestTrainStepZeroAlloc is the training step's allocation gate: once
+// warm at batch 32, an optimisation step allocates nothing, for
+// uniform, double-DQN and prioritized replay alike. scripts/check.sh
+// runs it without -race.
 func TestTrainStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"erminer/internal/measure"
@@ -195,8 +196,9 @@ func (s *Server) PatchData(done <-chan struct{}, req DataPatchRequest) (DataPatc
 
 // applyPatch resolves the request's column names and values to a typed
 // delta under the dictionary lock (unseen values are interned) and
-// applies it. The delta is validated in full before any mutation:
-// relation.ApplyDelta is atomic.
+// applies it. The delta is validated in full before any value is
+// interned, so a rejected delta leaves the shared dictionaries as they
+// were; relation.ApplyDelta is atomic on top of that.
 func (s *Server) applyPatch(req DataPatchRequest, master bool) (relation.ChangeSet, patchEnv, error) {
 	s.dictMu.Lock()
 	defer s.dictMu.Unlock()
@@ -210,28 +212,42 @@ func (s *Server) applyPatch(req DataPatchRequest, master bool) (relation.ChangeS
 	}
 	rel := env.rel(master)
 	schema := rel.Schema()
-	var d relation.Delta
+	// An append with several unknown columns names the first in sorted
+	// order, so the 400 does not depend on map iteration order.
 	for i, t := range req.Appends {
+		var unknown []string
+		for col := range t {
+			if schema.Index(col) < 0 {
+				unknown = append(unknown, col)
+			}
+		}
+		if len(unknown) > 0 {
+			return relation.ChangeSet{}, env, fmt.Errorf("append %d: unknown column %q", i, slices.Min(unknown))
+		}
+	}
+	for i, u := range req.Updates {
+		if schema.Index(u.Attr) < 0 {
+			return relation.ChangeSet{}, env, fmt.Errorf("update %d: unknown column %q", i, u.Attr)
+		}
+		if u.Row < 0 || u.Row >= rel.NumRows() {
+			return relation.ChangeSet{}, env, fmt.Errorf("update %d: row %d out of range", i, u.Row)
+		}
+	}
+	// Values are interned in schema order, not map order, so columns
+	// that share a domain get the same codes on every run.
+	var d relation.Delta
+	for _, t := range req.Appends {
 		row := make([]int32, schema.Len())
 		for c := range row {
 			row[c] = relation.Null
-		}
-		for col, v := range t {
-			idx := schema.Index(col)
-			if idx < 0 {
-				return relation.ChangeSet{}, env, fmt.Errorf("append %d: unknown column %q", i, col)
-			}
-			if v != "" {
-				row[idx] = rel.Dict(idx).Code(v)
+			if v := t[schema.Attr(c).Name]; v != "" {
+				row[c] = rel.Dict(c).Code(v)
 			}
 		}
 		d.Appends = append(d.Appends, row)
 	}
-	for i, u := range req.Updates {
+	for _, u := range req.Updates {
 		idx := schema.Index(u.Attr)
-		if idx < 0 {
-			return relation.ChangeSet{}, env, fmt.Errorf("update %d: unknown column %q", i, u.Attr)
-		}
 		code := relation.Null
 		if u.Value != "" {
 			code = rel.Dict(idx).Code(u.Value)

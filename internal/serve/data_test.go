@@ -2,10 +2,12 @@ package serve
 
 import (
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
 	"erminer/internal/core"
+	"erminer/internal/relation"
 )
 
 // TestDataPatchMasterAppend is the serving half of the delta
@@ -144,15 +146,43 @@ func TestDataPatchBadRequests(t *testing.T) {
 		{"over batch limit", `{"target": "input", "updates": [{"row": 0, "attr": "area", "value": "x"},
 			{"row": 1, "attr": "area", "value": "x"}, {"row": 2, "attr": "area", "value": "x"}]}`},
 		{"unknown field", `{"target": "input", "rows": []}`},
+		{"several unknown append columns", `{"target": "master", "appends": [{"district": "nd", "area": "na", "postcode": "np"},
+			{"zeta": "1", "district": "nd2", "alpha": "2", "area": "na2", "mid": "3", "postcode": "np2"}]}`},
 	}
-	before := s.p.Input.Version()
+	// Every rejected delta must leave the shared dictionaries as they
+	// were: validation happens before any value is interned.
+	dictSizes := func() []int {
+		var sizes []int
+		for _, rel := range []*relation.Relation{s.p.Input, s.p.Master} {
+			for c := 0; c < rel.Schema().Len(); c++ {
+				sizes = append(sizes, rel.Dict(c).Size())
+			}
+		}
+		return sizes
+	}
+	before, dicts := s.p.Input.Version(), dictSizes()
 	for _, c := range cases {
 		if w := do(s, "PATCH", "/v1/data", c.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, w.Code, w.Body)
 		}
+		if got := dictSizes(); !slices.Equal(got, dicts) {
+			t.Errorf("%s: rejected delta interned values: dictionary sizes %v -> %v", c.name, dicts, got)
+			dicts = got
+		}
 	}
 	if got := s.p.Input.Version(); got != before {
 		t.Errorf("a rejected delta mutated the input: version %d -> %d", before, got)
+	}
+	// Several unknown columns name the first in sorted order, so
+	// identical requests get identical bodies whatever the map order.
+	const want = `{"error":"append 1: unknown column \"alpha\""}` + "\n"
+	for i := 0; i < 200; i++ {
+		if w := do(s, "PATCH", "/v1/data", cases[len(cases)-1].body); w.Body.String() != want {
+			t.Fatalf("request %d answered %d %s, want 400 %s", i, w.Code, w.Body, want)
+		}
+	}
+	if got := dictSizes(); !slices.Equal(got, dicts) {
+		t.Errorf("repeated rejected appends interned values: dictionary sizes %v -> %v", dicts, got)
 	}
 }
 
