@@ -98,10 +98,9 @@ func benchRule(p *core.Problem) *rule.Rule {
 // BenchmarkEvaluate measures one full rule evaluation on the columnar
 // engine (DESIGN.md decision 16) with a warm master index (decision 2:
 // group-based measure evaluation). It is the hot path of both miners
-// and the serving layer; with the cover buffer recycled it must report
-// 0 allocs/op — CI gates on it via TestEvaluateZeroAlloc and the
-// scripts/check.sh cross-check, and scripts/bench.sh records it in
-// BENCH_hotpath.json.
+// and the serving layer; with the cover buffer recycled it reports 0
+// allocs/op. TestEvaluateZeroAlloc gates that for the same rule shape,
+// and scripts/bench.sh records it in BENCH_hotpath.json.
 func BenchmarkEvaluate(b *testing.B) {
 	p := benchProblem(b)
 	r := benchRule(p)

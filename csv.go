@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"strconv"
 
@@ -47,15 +48,14 @@ func LoadCSVProblem(spec CSVSpec) (*Problem, error) {
 		return nil, fmt.Errorf("erminer: master CSV: %w", err)
 	}
 
-	pairs := spec.MatchPairs
-	if pairs == nil {
-		pairs = inferPairsByValues(inHeader, inRows, msHeader, msRows)
-	}
-	// The dependent pair is part of the match.
 	if spec.Y == "" || spec.Ym == "" {
 		return nil, fmt.Errorf("erminer: CSVSpec.Y and Ym are required")
 	}
-	pairs[spec.Y] = spec.Ym
+	pairs := maps.Clone(spec.MatchPairs)
+	if pairs == nil {
+		pairs = inferPairsByValues(inHeader, inRows, msHeader, msRows)
+	}
+	pairs[spec.Y] = spec.Ym // the dependent pair joins the match, not the caller's map
 
 	// Build schemas with shared Domain names for matched columns.
 	continuous := make(map[string]bool, len(spec.ContinuousCols))

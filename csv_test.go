@@ -1,6 +1,7 @@
 package erminer_test
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,15 +47,21 @@ func writeCSVFixture(t *testing.T) (inputPath, masterPath string) {
 
 func TestLoadCSVProblemExplicitMatch(t *testing.T) {
 	in, ms := writeCSVFixture(t)
+	pairs := map[string]string{"district": "district", "area": "area"}
 	p, err := erminer.LoadCSVProblem(erminer.CSVSpec{
 		InputPath:  in,
 		MasterPath: ms,
 		Y:          "postcode",
 		Ym:         "postcode",
-		MatchPairs: map[string]string{"district": "district", "area": "area"},
+		MatchPairs: pairs,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The dependent pair joins the match without being written into the
+	// caller's map.
+	if want := map[string]string{"district": "district", "area": "area"}; !maps.Equal(pairs, want) {
+		t.Errorf("LoadCSVProblem changed the caller's MatchPairs to %v, want %v", pairs, want)
 	}
 	if err := erminer.Validate(p); err != nil {
 		t.Fatal(err)

@@ -35,8 +35,8 @@
 // directive is //ermvet:wire (see WireDrift); any other //ermvet: verb
 // is reported, so a typo cannot silently drop a gate. The pass is built
 // on go/ast, go/parser and go/types only, with standard-library imports
-// resolved from source (go/importer) — no third-party analyzer
-// framework.
+// read from the compiler export data that go list -export reports
+// (go/importer's gc importer) — no third-party analyzer framework.
 package analysis
 
 import (

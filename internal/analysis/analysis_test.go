@@ -28,14 +28,10 @@ var (
 )
 
 // loadedModule returns the whole module, loaded once per test binary
-// and shared read-only: type-checking it from source is the expensive
-// step of every module-wide test. A test that gates against a different
-// manifest or route table copies the value and replaces that field.
+// and shared read-only. A test that gates against a different manifest
+// or route table copies the value and replaces that field.
 func loadedModule(t *testing.T) *analysis.Module {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
 	moduleOnce.Do(func() { module, moduleErr = analysis.LoadModule(filepath.Join("..", "..")) })
 	if moduleErr != nil {
 		t.Fatalf("LoadModule: %v", moduleErr)
@@ -119,6 +115,9 @@ func TestChecks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.dir, "/", "_"), func(t *testing.T) {
+			// In parallel, so the race detector sees concurrent loads
+			// share the process-wide export-data map.
+			t.Parallel()
 			mod := loadFixture(t, tc.dir)
 			mod.Manifest = tc.manifest
 			pkg := mod.Packages[0]

@@ -152,9 +152,8 @@ func responseDefs(pass *Pass, as *ast.AssignStmt) []*types.Var {
 
 // isResponsePtr recognizes *http.Response structurally: a pointer to a
 // named type Response whose struct has a Body field with a Close
-// method. The structural form lets fixtures declare a local Response
-// instead of importing net/http (which would drag the whole package
-// through the source importer in tests).
+// method, so a fixture may declare a local Response instead of
+// importing net/http.
 func isResponsePtr(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -8,10 +9,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,17 +42,16 @@ type pkgSrc struct {
 }
 
 // LoadModule parses and type-checks every non-test package of the Go
-// module rooted at root, in dependency order, reads the golden manifest
-// at ManifestPath when one exists, and builds the Module the checks run
-// over, packages sorted by import path. Module-internal imports resolve
-// to the packages loaded here; standard-library imports are
-// type-checked from GOROOT source via importer.ForCompiler(...,
-// "source", ...) — no module dependencies. Parsing runs one goroutine
-// per directory and type-checking runs level-parallel over the
-// dependency DAG, both bounded by GOMAXPROCS;
+// module rooted at root, one after another in dependency order, reads
+// the golden manifest at ManifestPath when one exists, and builds the
+// Module the checks run over, packages sorted by import path.
+// Module-internal imports resolve to the packages loaded here;
+// standard-library imports resolve from the compiler export data the
+// go tool keeps in its build cache (see exportLookup), so the go
+// command must be on PATH — no module dependencies.
 // TestLoadModuleParallelDeterministic pins that the output — package
-// list, file lists and the full diagnostic stream — is identical run
-// to run regardless of scheduling.
+// list, file lists and the full diagnostic stream — is identical load
+// to load.
 // Directories named testdata or vendor and hidden directories are
 // skipped, matching the go tool, so the analyzer's own intentionally
 // hazardous fixtures never reach the gate. Test files are excluded:
@@ -83,16 +85,16 @@ func LoadModule(root string) (*Module, error) {
 		return nil, err
 	}
 
-	parsed, err := parseDirs(fset, dirs)
-	if err != nil {
-		return nil, err
-	}
-	srcs := make(map[string]*pkgSrc, len(parsed))
-	for i, src := range parsed {
+	srcs := make(map[string]*pkgSrc, len(dirs))
+	for _, dir := range dirs {
+		src, err := parseDir(fset, dir)
+		if err != nil {
+			return nil, err
+		}
 		if src == nil {
 			continue
 		}
-		rel, err := filepath.Rel(root, dirs[i])
+		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +110,7 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := typeCheck(fset, order)
+	pkgs, err := typeCheck(fset, root, order)
 	if err != nil {
 		return nil, err
 	}
@@ -138,51 +140,11 @@ func LoadDir(dir, importPath string) (*Module, error) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	src.path = importPath
-	pkgs, err := typeCheck(fset, []*pkgSrc{src})
+	pkgs, err := typeCheck(fset, dir, []*pkgSrc{src})
 	if err != nil {
 		return nil, err
 	}
 	return newModule(pkgs, nil), nil
-}
-
-// parallelism bounds the loader's worker pools.
-func parallelism() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
-}
-
-// parseDirs parses the given directories concurrently and returns one
-// (possibly nil) *pkgSrc per directory, index-aligned with dirs. The
-// shared FileSet is safe for concurrent use, and each directory's
-// files are parsed sequentially by one goroutine, so within a package
-// the file base offsets stay in filename order and every per-package
-// Pos comparison the checks make is deterministic run to run. When
-// several directories fail to parse, the error reported is the first
-// in dirs order (WalkDir's lexical order), independent of goroutine
-// scheduling.
-func parseDirs(fset *token.FileSet, dirs []string) ([]*pkgSrc, error) {
-	srcs := make([]*pkgSrc, len(dirs))
-	errs := make([]error, len(dirs))
-	sem := make(chan struct{}, parallelism())
-	var wg sync.WaitGroup
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			srcs[i], errs[i] = parseDir(fset, dir)
-		}(i, dir)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return srcs, nil
 }
 
 // parseDir parses the non-test Go files of one directory, returning nil
@@ -266,119 +228,123 @@ func topoSort(srcs map[string]*pkgSrc, modPath string) ([]*pkgSrc, error) {
 	return order, nil
 }
 
-// moduleImporter resolves module-internal imports to the packages
-// type-checked in this run and everything else (the standard library)
-// through the source importer. The mutex makes it safe for the
-// concurrent type-checkers of one level: the source importer is not
-// safe for concurrent use, so standard-library resolution serializes
-// on mu — its per-package results are cached after the first import,
-// and the module packages themselves still check in parallel.
-type moduleImporter struct {
-	mu    sync.Mutex
-	std   types.Importer
-	local map[string]*types.Package
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.local[path]; ok {
-		return p, nil
+// typeCheck type-checks the topologically ordered packages one after
+// another. Module-internal imports resolve to the packages checked
+// before them, every other import to the standard library's export
+// data (see exportLookup), with go list run in dir.
+func typeCheck(fset *token.FileSet, dir string, order []*pkgSrc) ([]*Package, error) {
+	// local holds a nil entry for each package not yet checked, so that
+	// the imports missing from it are exactly the standard-library ones.
+	local := make(map[string]*types.Package, len(order))
+	for _, src := range order {
+		local[src.path] = nil
 	}
-	return m.std.Import(path)
-}
-
-func (m *moduleImporter) add(path string, pkg *types.Package) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.local[path] = pkg
-}
-
-// typeCheck type-checks the topologically ordered packages with level
-// scheduling: a package's level is one past its deepest
-// module-internal dependency, so the members of one level only import
-// packages from earlier levels and are mutually independent — they
-// type-check concurrently, with a barrier between levels. Results are
-// deterministic: types.Info is per package, the shared importer is
-// mutex-guarded, and when a level has several failures the error
-// reported is from the lexically smallest failing import path,
-// independent of goroutine scheduling.
-func typeCheck(fset *token.FileSet, order []*pkgSrc) ([]*Package, error) {
-	imp := &moduleImporter{
-		std:   importer.ForCompiler(fset, "source", nil),
-		local: make(map[string]*types.Package, len(order)),
-	}
-
-	index := make(map[string]int, len(order))
-	for i, src := range order {
-		index[src.path] = i
-	}
-	level := make([]int, len(order))
-	maxLevel := 0
-	for i, src := range order {
-		for dep := range src.imports {
-			// Dependencies precede their importers in order, so level[j]
-			// is final by the time it feeds level[i].
-			if j, ok := index[dep]; ok && level[j]+1 > level[i] {
-				level[i] = level[j] + 1
+	var std []string
+	for _, src := range order {
+		for imp := range src.imports {
+			if _, ok := local[imp]; !ok {
+				std = append(std, imp)
 			}
 		}
-		if level[i] > maxLevel {
-			maxLevel = level[i]
-		}
 	}
+	lookup, err := exportLookup(dir, std)
+	if err != nil {
+		return nil, err
+	}
+	stdImp := importer.ForCompiler(fset, "gc", lookup)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := local[path]; p != nil {
+			return p, nil
+		}
+		return stdImp.Import(path)
+	})}
 
 	pkgs := make([]*Package, len(order))
-	errs := make([]error, len(order))
-	sem := make(chan struct{}, parallelism())
-	for l := 0; l <= maxLevel; l++ {
-		var wg sync.WaitGroup
-		for i, src := range order {
-			if level[i] != l {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, src *pkgSrc) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				info := &types.Info{
-					Types:      make(map[ast.Expr]types.TypeAndValue),
-					Defs:       make(map[*ast.Ident]types.Object),
-					Uses:       make(map[*ast.Ident]types.Object),
-					Selections: make(map[*ast.SelectorExpr]*types.Selection),
-					Implicits:  make(map[ast.Node]types.Object),
-				}
-				conf := types.Config{Importer: imp}
-				tpkg, err := conf.Check(src.path, fset, src.files, info)
-				if err != nil {
-					errs[i] = fmt.Errorf("analysis: type-checking %s: %w", src.path, err)
-					return
-				}
-				imp.add(src.path, tpkg)
-				pkgs[i] = &Package{
-					Path:  src.path,
-					Dir:   src.dir,
-					Fset:  fset,
-					Files: src.files,
-					Types: tpkg,
-					Info:  info,
-				}
-			}(i, src)
+	for i, src := range order {
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Implicits:  make(map[ast.Node]types.Object),
 		}
-		wg.Wait()
-		var firstErr error
-		firstPath := ""
-		for i, err := range errs {
-			if err != nil && (firstErr == nil || order[i].path < firstPath) {
-				firstErr, firstPath = err, order[i].path
-			}
+		tpkg, err := conf.Check(src.path, fset, src.files, info)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: type-checking %s: %w", src.path, err)
 		}
-		if firstErr != nil {
-			return nil, firstErr
+		local[src.path] = tpkg
+		pkgs[i] = &Package{
+			Path:  src.path,
+			Dir:   src.dir,
+			Fset:  fset,
+			Files: src.files,
+			Types: tpkg,
+			Info:  info,
 		}
 	}
 	return pkgs, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportFiles maps standard-library import paths to the export-data
+// files go list reported for them. Every load in the process shares it,
+// so a test binary that loads many fixtures asks the go tool about each
+// package once; holding mu across go list also keeps concurrent loads
+// from resolving the same path twice.
+var exportFiles = struct {
+	mu    sync.Mutex
+	paths map[string]string
+}{paths: make(map[string]string)}
+
+// exportLookup returns the gc importer's lookup for the given
+// standard-library import paths. The paths not resolved earlier in the
+// process are resolved by one
+//
+//	go list -export -deps -f {{.ImportPath}}={{.Export}} <paths>
+//
+// run in dir, which compiles any missing export data into the go build
+// cache: a warm cache answers in well under a second, a cold one pays
+// once for compiling those packages. There is no fallback: a path go
+// list cannot resolve is an error that quotes go list's stderr.
+func exportLookup(dir string, paths []string) (importer.Lookup, error) {
+	exportFiles.mu.Lock()
+	defer exportFiles.mu.Unlock()
+	var missing []string
+	for _, p := range paths {
+		// unsafe has no export data; the gc importer provides it.
+		if _, ok := exportFiles.paths[p]; !ok && p != "unsafe" {
+			missing = append(missing, p)
+		}
+	}
+	if len(missing) > 0 {
+		slices.Sort(missing)
+		args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}, slices.Compact(missing)...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("analysis: go %s: %v: %q", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, "="); ok && file != "" {
+				exportFiles.paths[path] = file
+			}
+		}
+	}
+	files := make(map[string]string, len(paths))
+	for _, p := range paths {
+		file, ok := exportFiles.paths[p]
+		if !ok && p != "unsafe" {
+			return nil, fmt.Errorf("analysis: go list reported no export data for %s", p)
+		}
+		files[p] = file
+	}
+	return func(path string) (io.ReadCloser, error) { return os.Open(files[path]) }, nil
 }
 
 func modulePath(gomod string) (string, error) {

@@ -1,23 +1,22 @@
 package analysis_test
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"erminer/internal/analysis"
 )
 
-// TestLoadModuleParallelDeterministic pins the contract the parallel
-// loader must keep: two loads of the same module agree on the package
-// list, the per-package file lists, and — the part goroutine
-// scheduling could most plausibly perturb — the full diagnostic
-// stream, byte for byte and in the same order. Parsing interleaves
-// FileSet offsets across packages, so any check that compared raw
-// token.Pos across files of different packages would flake here.
+// TestLoadModuleParallelDeterministic pins that two loads of the same
+// module agree on the package list, the per-package file lists and the
+// full diagnostic stream, byte for byte and in the same order. The
+// loader is serial, but the checks are not order-free: Module.Run sorts
+// findings by position, yet a check that ranges over a map can still
+// change a message or which witness (a lockorder cycle path, say) it
+// reports, and only a comparison of two whole streams shows that.
 func TestLoadModuleParallelDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source twice")
-	}
 	root := filepath.Join("..", "..")
 	load := func() ([]string, []string) {
 		mod, err := analysis.LoadModule(root)
@@ -53,5 +52,20 @@ func TestLoadModuleParallelDeterministic(t *testing.T) {
 		if diags1[i] != diags2[i] {
 			t.Errorf("diagnostic %d differs:\nfirst:  %s\nsecond: %s", i, diags1[i], diags2[i])
 		}
+	}
+}
+
+// TestLoadDirUnknownImport pins the loader's one resolution path: an
+// import go list cannot resolve fails the load with an error naming the
+// path, instead of falling back to another importer.
+func TestLoadDirUnknownImport(t *testing.T) {
+	dir := t.TempDir()
+	src := "package p\n\nimport _ \"nosuch/pkg\"\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := analysis.LoadDir(dir, "fixture/p")
+	if err == nil || !strings.Contains(err.Error(), "nosuch/pkg") {
+		t.Fatalf("LoadDir: got error %v, want one naming nosuch/pkg", err)
 	}
 }

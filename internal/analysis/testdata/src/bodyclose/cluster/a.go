@@ -1,8 +1,8 @@
 // Package cluster is a bodyclose fixture: its name places it among the
 // HTTP-speaking packages, so every response obtained from a call must
 // reach Body.Close() on all paths that use it. Response mirrors
-// net/http.Response's shape (a Body field with a Close method) so the
-// fixture does not drag net/http through the source importer.
+// net/http.Response's shape (a Body field with a Close method), which
+// is all the check matches.
 package cluster
 
 import "errors"

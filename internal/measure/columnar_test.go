@@ -181,11 +181,14 @@ func TestReleaseCoverReuse(t *testing.T) {
 // shapes run a child rule over its parent's cover (filterCover) and
 // patterns that reach every posting kernel: two conditions
 // (intersectInto), a condition with several codes (mergeInto) and a
-// negated one (subtractInto). The closing sweep drives the
-// repair-request shape (cover intersection, then one candidate lookup
-// per covered row) over every synthetic rule — mixed LHS widths and
-// guard patterns. scripts/check.sh runs this test without -race; keep
-// it green or the build gate fails.
+// negated one (subtractInto). A two-pair LHS with an empty pattern runs
+// through a borrowed index cache and columnar store: the evaluator
+// Problem.NewEvaluator builds, and the shape BenchmarkEvaluate
+// measures. The closing sweep drives the repair-request shape (cover
+// intersection, then one candidate lookup per covered row) over every
+// synthetic rule — mixed LHS widths and guard patterns.
+// scripts/check.sh runs this test without -race; keep it green or the
+// build gate fails.
 func TestEvaluateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -218,21 +221,28 @@ func TestEvaluateZeroAlloc(t *testing.T) {
 	parent := base.WithCondition(rule.Eq(2, input.DomainCodes(2)[0]))
 	child := parent.WithCondition(rule.Eq(1, input.DomainCodes(1)[0]))
 	parentCover := ev.PatternCover(parent, nil)
+	// The evaluator Problem.NewEvaluator builds once the problem shares
+	// its indexes, running BenchmarkEvaluate's rule shape.
+	shared := NewSharedEvaluator(input, master, nil, NewIndexCache())
+	shared.ShareColumns(NewColumnIndex(input))
 	for _, tc := range []struct {
 		name   string
+		ev     *Evaluator
 		r      *rule.Rule
 		parent []int32
 	}{
-		{"child over parent cover", child, parentCover},
-		{"two conditions", child, nil},
-		{"several codes", base.WithCondition(rule.NewCondition(1, input.DomainCodes(1)[:3], "")), nil},
-		{"negated", base.WithCondition(rule.NotEq(2, input.DomainCodes(2)[1])), nil},
+		{"child over parent cover", ev, child, parentCover},
+		{"two conditions", ev, child, nil},
+		{"several codes", ev, base.WithCondition(rule.NewCondition(1, input.DomainCodes(1)[:3], "")), nil},
+		{"negated", ev, base.WithCondition(rule.NotEq(2, input.DomainCodes(2)[1])), nil},
+		{"two-pair LHS, shared cache and columns", shared,
+			rule.New([]rule.AttrPair{{Input: 0, Master: 0}, {Input: 1, Master: 1}}, 3, 2, nil), nil},
 	} {
 		for i := 0; i < 3; i++ {
-			ev.ReleaseCover(ev.Evaluate(tc.r, tc.parent).PatternCover)
+			tc.ev.ReleaseCover(tc.ev.Evaluate(tc.r, tc.parent).PatternCover)
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
-			ev.ReleaseCover(ev.Evaluate(tc.r, tc.parent).PatternCover)
+			tc.ev.ReleaseCover(tc.ev.Evaluate(tc.r, tc.parent).PatternCover)
 		}); allocs != 0 {
 			t.Errorf("%s: Evaluate allocates %.1f/op on a warmed cache, want 0", tc.name, allocs)
 		}

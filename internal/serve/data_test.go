@@ -133,39 +133,46 @@ func TestDataPatchNoOp(t *testing.T) {
 	}
 }
 
+// badPatches are PATCH /v1/data bodies that a server with
+// Config{MaxBatch: 2} answers 400; FuzzDataPatch seeds from them. The
+// last one appends with several unknown columns.
+var badPatches = []struct {
+	name, body string
+}{
+	{"bad target", `{"target": "nowhere", "updates": [{"row": 0, "attr": "area", "value": "x"}]}`},
+	{"empty delta", `{"target": "input"}`},
+	{"unknown append column", `{"target": "input", "appends": [{"zip": "1"}]}`},
+	{"unknown update column", `{"target": "input", "updates": [{"row": 0, "attr": "zip", "value": "1"}]}`},
+	{"row out of range", `{"target": "input", "updates": [{"row": 99, "attr": "area", "value": "x"}]}`},
+	{"over batch limit", `{"target": "input", "updates": [{"row": 0, "attr": "area", "value": "x"},
+		{"row": 1, "attr": "area", "value": "x"}, {"row": 2, "attr": "area", "value": "x"}]}`},
+	{"unknown field", `{"target": "input", "rows": []}`},
+	{"several unknown append columns", `{"target": "master", "appends": [{"district": "nd", "area": "na", "postcode": "np"},
+		{"zeta": "1", "district": "nd2", "alpha": "2", "area": "na2", "mid": "3", "postcode": "np2"}]}`},
+}
+
+// dictSizes lists the size of every column's dictionary, input columns
+// first, so a test can tell whether a request interned a value.
+func dictSizes(s *Server) []int {
+	var sizes []int
+	for _, rel := range []*relation.Relation{s.p.Input, s.p.Master} {
+		for c := 0; c < rel.Schema().Len(); c++ {
+			sizes = append(sizes, rel.Dict(c).Size())
+		}
+	}
+	return sizes
+}
+
 func TestDataPatchBadRequests(t *testing.T) {
 	s := newTestServer(t, []core.MinedRule{districtRule()}, Config{MaxBatch: 2})
-	cases := []struct {
-		name, body string
-	}{
-		{"bad target", `{"target": "nowhere", "updates": [{"row": 0, "attr": "area", "value": "x"}]}`},
-		{"empty delta", `{"target": "input"}`},
-		{"unknown append column", `{"target": "input", "appends": [{"zip": "1"}]}`},
-		{"unknown update column", `{"target": "input", "updates": [{"row": 0, "attr": "zip", "value": "1"}]}`},
-		{"row out of range", `{"target": "input", "updates": [{"row": 99, "attr": "area", "value": "x"}]}`},
-		{"over batch limit", `{"target": "input", "updates": [{"row": 0, "attr": "area", "value": "x"},
-			{"row": 1, "attr": "area", "value": "x"}, {"row": 2, "attr": "area", "value": "x"}]}`},
-		{"unknown field", `{"target": "input", "rows": []}`},
-		{"several unknown append columns", `{"target": "master", "appends": [{"district": "nd", "area": "na", "postcode": "np"},
-			{"zeta": "1", "district": "nd2", "alpha": "2", "area": "na2", "mid": "3", "postcode": "np2"}]}`},
-	}
 	// Every rejected delta must leave the shared dictionaries as they
 	// were: validation happens before any value is interned.
-	dictSizes := func() []int {
-		var sizes []int
-		for _, rel := range []*relation.Relation{s.p.Input, s.p.Master} {
-			for c := 0; c < rel.Schema().Len(); c++ {
-				sizes = append(sizes, rel.Dict(c).Size())
-			}
-		}
-		return sizes
-	}
-	before, dicts := s.p.Input.Version(), dictSizes()
-	for _, c := range cases {
+	before, dicts := s.p.Input.Version(), dictSizes(s)
+	for _, c := range badPatches {
 		if w := do(s, "PATCH", "/v1/data", c.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, w.Code, w.Body)
 		}
-		if got := dictSizes(); !slices.Equal(got, dicts) {
+		if got := dictSizes(s); !slices.Equal(got, dicts) {
 			t.Errorf("%s: rejected delta interned values: dictionary sizes %v -> %v", c.name, dicts, got)
 			dicts = got
 		}
@@ -177,11 +184,11 @@ func TestDataPatchBadRequests(t *testing.T) {
 	// identical requests get identical bodies whatever the map order.
 	const want = `{"error":"append 1: unknown column \"alpha\""}` + "\n"
 	for i := 0; i < 200; i++ {
-		if w := do(s, "PATCH", "/v1/data", cases[len(cases)-1].body); w.Body.String() != want {
+		if w := do(s, "PATCH", "/v1/data", badPatches[len(badPatches)-1].body); w.Body.String() != want {
 			t.Fatalf("request %d answered %d %s, want 400 %s", i, w.Code, w.Body, want)
 		}
 	}
-	if got := dictSizes(); !slices.Equal(got, dicts) {
+	if got := dictSizes(s); !slices.Equal(got, dicts) {
 		t.Errorf("repeated rejected appends interned values: dictionary sizes %v -> %v", dicts, got)
 	}
 }

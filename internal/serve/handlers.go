@@ -51,16 +51,16 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// DecodeJSON strictly decodes the request body into v (unknown fields
-// and trailing garbage are errors, and the body is capped at maxBody
-// bytes).
+// DecodeJSON strictly decodes the request body into v: unknown fields
+// and anything but whitespace after the value are errors, and the body
+// is capped at maxBody bytes.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after JSON body")
 	}
 	return nil

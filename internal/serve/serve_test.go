@@ -30,7 +30,7 @@ import (
 // functional dependency district → postcode (hz→31200, bd→45000,
 // cz→52000) over three areas each; the input corpus mirrors it with one
 // missing postcode, so every miner discovers the dependency quickly.
-func testProblem(t *testing.T) *core.Problem {
+func testProblem(t testing.TB) *core.Problem {
 	t.Helper()
 	pool := relation.NewPool()
 	attrs := []relation.Attribute{
@@ -69,7 +69,7 @@ func districtRule() core.MinedRule {
 	}
 }
 
-func newTestServer(t *testing.T, rules []core.MinedRule, cfg Config) *Server {
+func newTestServer(t testing.TB, rules []core.MinedRule, cfg Config) *Server {
 	t.Helper()
 	s, err := New(testProblem(t), rules, cfg)
 	if err != nil {
@@ -190,19 +190,24 @@ func TestRepairOnlyMissing(t *testing.T) {
 	}
 }
 
+// badBatches are /v1/repair and /v1/validate bodies that a server with
+// Config{MaxBatch: 2} answers 400; FuzzRepairRequest seeds from them.
+var badBatches = []struct {
+	name, body string
+}{
+	{"malformed JSON", `{"tuples": [`},
+	{"unknown field", `{"tuples": [{"district": "hz"}], "bogus": 1}`},
+	{"trailing data", `{"tuples": [{"district": "hz"}]} {"again": true}`},
+	{"trailing brace", `{"tuples": [{"district": "hz"}]}}`},
+	{"trailing bracket", `{"tuples": [{"district": "hz"}]}]`},
+	{"unknown column", `{"tuples": [{"street": "main", "district": "hz"}]}`},
+	{"empty batch", `{"tuples": []}`},
+	{"over max batch", `{"tuples": [{}, {}, {}]}`},
+}
+
 func TestRepairBadRequests(t *testing.T) {
 	s := newTestServer(t, []core.MinedRule{districtRule()}, Config{MaxBatch: 2})
-	cases := []struct {
-		name, body string
-	}{
-		{"malformed JSON", `{"tuples": [`},
-		{"unknown field", `{"tuples": [{"district": "hz"}], "bogus": 1}`},
-		{"trailing data", `{"tuples": [{"district": "hz"}]} {"again": true}`},
-		{"unknown column", `{"tuples": [{"street": "main", "district": "hz"}]}`},
-		{"empty batch", `{"tuples": []}`},
-		{"over max batch", `{"tuples": [{}, {}, {}]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badBatches {
 		if w := do(s, "POST", "/v1/repair", tc.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, w.Code, w.Body)
 		}
