@@ -1,21 +1,17 @@
 package erminer
 
 import (
-	"fmt"
-
 	"erminer/internal/cfd"
 	"erminer/internal/cluster"
 	"erminer/internal/core"
 	"erminer/internal/datagen"
 	"erminer/internal/enuminer"
 	"erminer/internal/errgen"
-	"erminer/internal/measure"
 	"erminer/internal/metrics"
 	"erminer/internal/relation"
 	"erminer/internal/repair"
 	"erminer/internal/rlminer"
 	"erminer/internal/rule"
-	"erminer/internal/schema"
 	"erminer/internal/serve"
 )
 
@@ -29,12 +25,6 @@ type (
 	// with a shared master-index cache reused across mining, reward
 	// queries and repair.
 	Problem = core.Problem
-	// IndexCache is the thread-safe, build-once master-index cache
-	// shared by parallel evaluator shards. Attach one to a Problem with
-	// Problem.ShareIndexes, or set the IndexCache field directly with
-	// NewIndexCache to share indexes across problems over the same
-	// master data.
-	IndexCache = measure.IndexCache
 	// Miner is a rule-discovery algorithm.
 	Miner = core.Miner
 	// MinedRule pairs a discovered rule with its measures.
@@ -45,12 +35,6 @@ type (
 	Rule = rule.Rule
 	// Relation is a dictionary-encoded, column-oriented table.
 	Relation = relation.Relation
-	// Schema is an ordered attribute list.
-	Schema = relation.Schema
-	// Attribute describes one column.
-	Attribute = relation.Attribute
-	// Pool owns the shared value dictionaries of a dataset.
-	Pool = relation.Pool
 	// Delta is a batch of relation mutations (row appends + cell
 	// updates) applied atomically by Relation.ApplyDelta. Codes must be
 	// pre-interned with Dict.Code; Null is allowed.
@@ -58,14 +42,6 @@ type (
 	// CellUpdate overwrites one cell of an existing row with a
 	// pre-interned code.
 	CellUpdate = relation.CellUpdate
-	// ChangeSet summarizes what a delta changed — appended row span and
-	// updated columns — and drives incremental maintenance of derived
-	// structures (IndexCache.ApplyDelta, ColumnIndex patching).
-	ChangeSet = relation.ChangeSet
-	// Match is the schema match M between input and master schemas.
-	Match = schema.Match
-	// Measures aggregates Support, Certainty, Quality and Utility.
-	Measures = measure.Measures
 	// PRF is a precision/recall/F-measure triple.
 	PRF = metrics.PRF
 	// RepairResult holds per-tuple predicted fixes.
@@ -74,10 +50,6 @@ type (
 
 // Null is the dictionary code of a missing value.
 const Null = relation.Null
-
-// NewIndexCache returns an empty shared master-index cache (see the
-// IndexCache alias).
-func NewIndexCache() *IndexCache { return measure.NewIndexCache() }
 
 // EnuMinerConfig configures the enumeration miner.
 type EnuMinerConfig = enuminer.Config
@@ -115,21 +87,15 @@ type Dataset struct {
 	Clean *Relation
 }
 
-// DatasetSpec selects dataset sizes and sampling.
+// DatasetSpec selects dataset sizes. Input and master are sampled
+// independently from the dataset's world (§V-A1).
 type DatasetSpec struct {
 	// InputSize and MasterSize are tuple counts; zero means the paper's
 	// Table I sizes.
 	InputSize, MasterSize int
-	// DuplicateRate, when >= 0, fixes the fraction of input tuples that
-	// correspond to master entities; negative means independent samples.
-	DuplicateRate float64
 	// Seed drives generation and sampling.
 	Seed int64
 }
-
-// DatasetNames lists the built-in benchmark datasets: adult, covid,
-// nursery, location.
-func DatasetNames() []string { return datagen.AllNames() }
 
 // BuildDataset materialises one of the built-in benchmark datasets.
 func BuildDataset(name string, spec DatasetSpec) (*Dataset, error) {
@@ -137,16 +103,7 @@ func BuildDataset(name string, spec DatasetSpec) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	dr := spec.DuplicateRate
-	if dr == 0 {
-		dr = -1
-	}
-	ds, err := w.Build(datagen.Spec{
-		InputSize:     spec.InputSize,
-		MasterSize:    spec.MasterSize,
-		DuplicateRate: dr,
-		Seed:          spec.Seed,
-	})
+	ds, err := w.Build(datagen.DefaultSpec(spec.InputSize, spec.MasterSize, spec.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -159,17 +116,8 @@ func (d *Dataset) Input() *Relation { return d.inner.Input }
 // Master returns the master relation D_m.
 func (d *Dataset) Master() *Relation { return d.inner.Master }
 
-// Match returns the schema match M.
-func (d *Dataset) Match() *Match { return d.inner.Match }
-
 // Y returns the dependent attribute index in the input schema.
 func (d *Dataset) Y() int { return d.inner.Y }
-
-// Ym returns the dependent attribute index in the master schema.
-func (d *Dataset) Ym() int { return d.inner.Ym }
-
-// Name returns the dataset name.
-func (d *Dataset) Name() string { return d.inner.Name }
 
 // Problem builds the discovery problem for this dataset. A zero support
 // threshold selects the dataset's size-scaled default η_s.
@@ -248,24 +196,15 @@ func FormatRule(p *Problem, r *Rule) string {
 // (PUT /v1/rules). See internal/serve for the endpoint contract.
 type (
 	// ServeConfig tunes the daemon (worker pool, bounded queue,
-	// per-request timeout, job pool, batch and body limits). The zero
-	// value is fully usable.
+	// per-request timeout, job pool, batch limit). The zero value is
+	// fully usable.
 	ServeConfig = serve.Config
 	// Server is the rule-serving daemon, an http.Handler.
 	Server = serve.Server
-	// JobSpec describes one asynchronous mining job.
-	JobSpec = serve.JobSpec
-	// JobStatus is the externally visible snapshot of one mining job.
-	JobStatus = serve.JobStatus
 	// DataPatchRequest is the PATCH /v1/data wire format: a delta of
 	// row appends and cell updates against the input or master
 	// relation, optionally triggering an RLMiner-ft re-mining job.
 	DataPatchRequest = serve.DataPatchRequest
-	// DataPatchResponse reports what a data patch changed and the rule
-	// generation left serving after incremental re-validation.
-	DataPatchResponse = serve.DataPatchResponse
-	// DataCell addresses one cell in a data patch ("" means Null).
-	DataCell = serve.DataCellJSON
 )
 
 // NewServer builds the rule-serving daemon over a problem. rules may be
@@ -290,9 +229,6 @@ type (
 	ClusterConfig = cluster.Config
 	// Coordinator is the cluster front door, an http.Handler.
 	Coordinator = cluster.Coordinator
-	// WorkerStatus is one worker's liveness and rule generation as seen
-	// by the coordinator's health checker.
-	WorkerStatus = cluster.WorkerStatus
 )
 
 // NewCoordinator builds the ermcluster coordinator over a worker fleet
@@ -300,13 +236,4 @@ type (
 // mux and stop it with Coordinator.Shutdown.
 func NewCoordinator(cfg ClusterConfig) (*Coordinator, error) {
 	return cluster.New(cfg)
-}
-
-// Validate sanity-checks a problem, returning a descriptive error for
-// malformed inputs.
-func Validate(p *Problem) error {
-	if p == nil {
-		return fmt.Errorf("erminer: nil problem")
-	}
-	return p.Validate()
 }

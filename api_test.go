@@ -6,14 +6,8 @@ import (
 	"testing"
 
 	"erminer"
+	"erminer/internal/measure"
 )
-
-func TestDatasetNames(t *testing.T) {
-	names := erminer.DatasetNames()
-	if len(names) != 4 {
-		t.Fatalf("names = %v", names)
-	}
-}
 
 func TestBuildDatasetAndProblem(t *testing.T) {
 	ds, err := erminer.BuildDataset("covid", erminer.DatasetSpec{
@@ -22,17 +16,14 @@ func TestBuildDatasetAndProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Name() != "covid" {
-		t.Errorf("Name = %q", ds.Name())
-	}
 	if ds.Input().NumRows() != 400 {
 		t.Errorf("input rows = %d", ds.Input().NumRows())
 	}
-	if ds.Master().NumRows() == 0 || ds.Match() == nil {
+	p := ds.Problem(0)
+	if ds.Master().NumRows() == 0 || p.Match == nil {
 		t.Error("master/match missing")
 	}
-	p := ds.Problem(0)
-	if err := erminer.Validate(p); err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatalf("problem invalid: %v", err)
 	}
 	if p.SupportThreshold <= 0 {
@@ -47,12 +38,6 @@ func TestBuildDatasetAndProblem(t *testing.T) {
 func TestBuildDatasetUnknown(t *testing.T) {
 	if _, err := erminer.BuildDataset("bogus", erminer.DatasetSpec{}); err == nil {
 		t.Fatal("unknown dataset accepted")
-	}
-}
-
-func TestValidateNil(t *testing.T) {
-	if erminer.Validate(nil) == nil {
-		t.Fatal("nil problem accepted")
 	}
 }
 
@@ -153,21 +138,10 @@ func TestWriteFixesPublic(t *testing.T) {
 	}
 }
 
-func TestDuplicateRateSpec(t *testing.T) {
-	ds, err := erminer.BuildDataset("nursery", erminer.DatasetSpec{
-		InputSize: 300, MasterSize: 200, DuplicateRate: 1.0, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Input().NumRows() != 300 {
-		t.Errorf("rows = %d", ds.Input().NumRows())
-	}
-}
-
 // TestParallelismPublicSurface drives the parallel-engine knobs through
-// the public façade: Problem.Parallelism, Problem.ShareIndexes and
-// NewIndexCache. Parallel mining must match the serial path exactly.
+// the public façade: Problem.Parallelism, Problem.ShareIndexes and the
+// Problem.IndexCache field. Parallel mining must match the serial path
+// exactly.
 func TestParallelismPublicSurface(t *testing.T) {
 	ds, err := erminer.BuildDataset("covid", erminer.DatasetSpec{
 		InputSize: 300, MasterSize: 300, Seed: 1,
@@ -205,7 +179,7 @@ func TestParallelismPublicSurface(t *testing.T) {
 	}
 
 	// An explicitly shared cache can span problems over the same data.
-	cache := erminer.NewIndexCache()
+	cache := measure.NewIndexCache()
 	p := ds.Problem(0)
 	p.IndexCache = cache
 	if _, err := erminer.NewEnuMinerH3(erminer.EnuMinerConfig{}).Mine(p); err != nil {

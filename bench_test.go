@@ -339,7 +339,8 @@ func minNs(runs int, f func()) float64 {
 func BenchmarkEnuMinerParallel(b *testing.B) {
 	p := benchProblem(b)
 	mine := func(workers int) *core.ResultSet {
-		res, err := enuminer.NewH3(enuminer.Config{Parallelism: workers}).Mine(p)
+		p.Parallelism = workers
+		res, err := enuminer.NewH3(enuminer.Config{}).Mine(p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,13 +1,11 @@
 package erminer
 
 import (
-	"fmt"
 	"io"
 
 	"erminer/internal/core"
 	"erminer/internal/repair"
 	"erminer/internal/rlminer"
-	"erminer/internal/schema"
 )
 
 // ChaseTarget is one dependent attribute with its rule set for
@@ -37,60 +35,6 @@ type Explanation = repair.Explanation
 func Explain(p *Problem, rules []MinedRule, row int) Explanation {
 	rs := &ResultSet{Rules: rules}
 	return repair.Explain(p.NewEvaluator(), rs.RuleList(), row)
-}
-
-// CertainRepairResult is the outcome of RepairCertain.
-type CertainRepairResult = repair.CertainResult
-
-// RepairCertain applies only certain fixes (f_c = 1, unique candidate) —
-// the semantics editing rules were designed for in Fan et al. [18].
-// Ambiguous evidence leaves cells untouched; disagreeing certain rules
-// are reported as conflicts instead of resolved by vote. Use Repair for
-// the paper's certainty-score aggregation (§V-B2).
-func RepairCertain(p *Problem, rules []MinedRule) CertainRepairResult {
-	rs := &ResultSet{Rules: rules}
-	return repair.ApplyCertain(p.NewEvaluator(), rs.RuleList())
-}
-
-// MineAll discovers rules for every matched attribute of the problem
-// (each in turn playing the dependent attribute Y) using miners produced
-// by the factory, and returns one chase target per attribute that
-// yielded rules. This is the multi-attribute front door: combine it with
-// Chase to repair a whole relation rather than a single column.
-func MineAll(p *Problem, newMiner func(y int) Miner) ([]ChaseTarget, error) {
-	var targets []ChaseTarget
-	for _, y := range p.Match.InputAttrs() {
-		yms := p.Match.Of(y)
-		if len(yms) == 0 {
-			continue
-		}
-		sub := *p
-		sub.Y = y
-		sub.Ym = yms[0]
-		res, err := newMiner(y).Mine(&sub)
-		if err != nil {
-			return nil, fmt.Errorf("erminer: mining attribute %s: %w",
-				p.Input.Schema().Attr(y).Name, err)
-		}
-		if len(res.Rules) == 0 {
-			continue
-		}
-		targets = append(targets, ChaseTarget{Y: y, Rules: res.RuleList()})
-	}
-	return targets, nil
-}
-
-// InferMatchConfig tunes the instance-based schema matcher.
-type InferMatchConfig = schema.InferConfig
-
-// InferMatch discovers the schema match M from value overlap between the
-// two relations' columns (plus a same-name bonus). The paper assumes M
-// is given; use this when it is not. Note that a match inferred this way
-// is only usable for mining if the matched columns share dictionaries —
-// relations built through BuildDataset or LoadCSVProblem satisfy that;
-// for hand-built relations, assign matched attributes a common Domain.
-func InferMatch(input, master *Relation, cfg InferMatchConfig) *Match {
-	return schema.InferMatch(input, master, cfg)
 }
 
 // SavedModel is a persisted RLMiner value network plus the refinement

@@ -7,61 +7,6 @@ import (
 	"erminer"
 )
 
-// TestMineAllAndChase repairs several attributes of the covid input at
-// once: rules are mined per matched attribute and chased to a fixpoint.
-func TestMineAllAndChase(t *testing.T) {
-	ds, err := erminer.BuildDataset("covid", erminer.DatasetSpec{
-		InputSize: 1200, MasterSize: 800, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.InjectErrors(erminer.NoiseConfig{Rate: 0.08, Seed: 42})
-	p := ds.Problem(0)
-	p.TopK = 10
-
-	targets, err := erminer.MineAll(p, func(y int) erminer.Miner {
-		return erminer.NewEnuMiner(erminer.EnuMinerConfig{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(targets) < 2 {
-		t.Fatalf("mined targets for %d attributes, want several", len(targets))
-	}
-	for _, tgt := range targets {
-		if len(tgt.Rules) == 0 {
-			t.Errorf("target %d has no rules", tgt.Y)
-		}
-		for _, r := range tgt.Rules {
-			if r.Y != tgt.Y {
-				t.Errorf("rule for attribute %d filed under %d", r.Y, tgt.Y)
-			}
-		}
-	}
-
-	res := erminer.Chase(p.Input, p.Master, targets, 0)
-	if res.Total == 0 {
-		t.Error("chase fixed nothing")
-	}
-	if res.Rounds < 1 {
-		t.Errorf("rounds = %d", res.Rounds)
-	}
-
-	// Post-chase, the Y column must agree with the truth on a clear
-	// majority of tuples.
-	truth := ds.Truth()
-	agree := 0
-	for row := 0; row < p.Input.NumRows(); row++ {
-		if p.Input.Code(row, p.Y) == truth[row] {
-			agree++
-		}
-	}
-	if float64(agree)/float64(p.Input.NumRows()) < 0.7 {
-		t.Errorf("post-chase agreement = %d/%d", agree, p.Input.NumRows())
-	}
-}
-
 func TestPublicModelPersistence(t *testing.T) {
 	ds, err := erminer.BuildDataset("covid", erminer.DatasetSpec{
 		InputSize: 600, MasterSize: 400, Seed: 43,
@@ -85,26 +30,5 @@ func TestPublicModelPersistence(t *testing.T) {
 	}
 	if saved.DimCount() == 0 {
 		t.Error("empty saved model")
-	}
-}
-
-func TestPublicInferMatch(t *testing.T) {
-	ds, err := erminer.BuildDataset("covid", erminer.DatasetSpec{
-		InputSize: 500, MasterSize: 400, Seed: 45,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := erminer.InferMatch(ds.Input(), ds.Master(), erminer.InferMatchConfig{})
-	// The inferred match must at least find the dependent pair (shared
-	// values, shared name).
-	found := false
-	for _, ym := range m.Of(ds.Y()) {
-		if ym == ds.Ym() {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("inferred match missed the dependent pair")
 	}
 }

@@ -321,7 +321,9 @@ func finish(o options, p *erminer.Problem, res *erminer.ResultSet, truth []int32
 		fixes := erminer.Repair(p, res.Rules)
 		fmt.Printf("repair: covered %d/%d tuples\n", fixes.Covered, p.Input.NumRows())
 		if truth != nil {
-			prf := erminer.Evaluate(fixes.Pred, truth)
+			// Rows a -mutate run appended carry no label; score the
+			// labelled rows only.
+			prf := erminer.Evaluate(fixes.Pred[:len(truth)], truth)
 			fmt.Printf("repair quality: weighted P=%.3f R=%.3f F1=%.3f\n",
 				prf.Precision, prf.Recall, prf.F1)
 		}
@@ -343,67 +345,35 @@ func loadModelFile(path string) (*erminer.SavedModel, error) {
 // PATCH /v1/data wire format — {"target": "input"|"master", "appends":
 // [{col: val}], "updates": [{"row", "attr", "value"}]} — to the loaded
 // problem before mining, so an offline run can reproduce exactly what
-// a patched daemon would see. An empty value means Null.
+// a patched daemon would see. An empty value means Null. It resolves
+// the delta as the daemon does (DataPatchRequest.Delta).
 func applyMutation(p *erminer.Problem, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var m struct {
-		Target  string              `json:"target"`
-		Appends []map[string]string `json:"appends"`
-		Updates []struct {
-			Row   int    `json:"row"`
-			Attr  string `json:"attr"`
-			Value string `json:"value"`
-		} `json:"updates"`
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
+	var req erminer.DataPatchRequest
+	if err := json.Unmarshal(data, &req); err != nil {
 		return fmt.Errorf("mutation file %s: %w", path, err)
 	}
 	var rel *erminer.Relation
-	switch strings.ToLower(m.Target) {
+	switch strings.ToLower(req.Target) {
 	case "input":
 		rel = p.Input
 	case "master":
 		rel = p.Master
 	default:
-		return fmt.Errorf("mutation file %s: target %q (want input or master)", path, m.Target)
+		return fmt.Errorf("mutation file %s: target %q (want input or master)", path, req.Target)
 	}
-	sc := rel.Schema()
-	var d erminer.Delta
-	for _, row := range m.Appends {
-		codes := make([]int32, sc.Len())
-		for i := range codes {
-			codes[i] = erminer.Null
-		}
-		for name, v := range row {
-			idx := sc.Index(name)
-			if idx < 0 {
-				return fmt.Errorf("mutation file %s: unknown column %q", path, name)
-			}
-			if v != "" {
-				codes[idx] = rel.Dict(idx).Code(v)
-			}
-		}
-		d.Appends = append(d.Appends, codes)
-	}
-	for _, u := range m.Updates {
-		idx := sc.Index(u.Attr)
-		if idx < 0 {
-			return fmt.Errorf("mutation file %s: unknown column %q", path, u.Attr)
-		}
-		code := erminer.Null
-		if u.Value != "" {
-			code = rel.Dict(idx).Code(u.Value)
-		}
-		d.Updates = append(d.Updates, erminer.CellUpdate{Row: u.Row, Col: idx, Code: code})
+	d, err := req.Delta(rel)
+	if err != nil {
+		return fmt.Errorf("mutation file %s: %w", path, err)
 	}
 	cs, err := rel.ApplyDelta(d)
 	if err != nil {
 		return fmt.Errorf("mutation file %s: %w", path, err)
 	}
 	fmt.Printf("mutated %s: +%d rows, %d columns updated (now %d rows, version %d)\n",
-		strings.ToLower(m.Target), cs.Appended, len(cs.Cols), rel.NumRows(), rel.Version())
+		strings.ToLower(req.Target), cs.Appended, len(cs.Cols), rel.NumRows(), rel.Version())
 	return nil
 }

@@ -142,3 +142,20 @@ func TestRunExplain(t *testing.T) {
 		t.Fatal("out-of-range -explain accepted")
 	}
 }
+
+// TestRunMutateInputAppend appends an unlabelled input tuple through
+// -mutate and repairs: the repair is scored over the labelled rows only.
+func TestRunMutateInputAppend(t *testing.T) {
+	delta := filepath.Join(t.TempDir(), "d.json")
+	if err := os.WriteFile(delta, []byte(`{"target":"input","appends":[{"city":"Seoul"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := baseOptions()
+	o.method = "enuminerh3"
+	o.k = 5
+	o.input, o.master = 300, 200
+	o.mutate = delta
+	if err := run(o); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}

@@ -22,22 +22,19 @@ type CSVSpec struct {
 	Y, Ym string
 	// MatchPairs maps input column names to master column names. Nil
 	// means the match is inferred from value overlap (schema matching).
+	// Several input columns may match one master column.
 	MatchPairs map[string]string
-	// ContinuousCols names input columns to treat as continuous
-	// (encoded as N_split ranges instead of one dimension per value).
-	// Columns whose non-empty values all parse as numbers with more
-	// than 20 distinct values are detected automatically.
-	ContinuousCols []string
 	// SupportThreshold is η_s; zero derives 2.5% of the input size
 	// (min 5), matching the paper's Adult/Nursery ratio.
 	SupportThreshold int
-	// TopK is the rule budget; zero means the paper default 50.
-	TopK int
 }
 
 // LoadCSVProblem reads the two CSV files, establishes the schema match
 // (given or inferred), and builds a Problem whose matched columns share
 // value dictionaries — the invariant the rule evaluator relies on.
+// Input columns whose non-empty values all parse as numbers, with more
+// than 20 distinct values, are continuous (encoded as N_split ranges
+// instead of one dimension per value).
 func LoadCSVProblem(spec CSVSpec) (*Problem, error) {
 	inHeader, inRows, err := readCSVRaw(spec.InputPath)
 	if err != nil {
@@ -57,37 +54,28 @@ func LoadCSVProblem(spec CSVSpec) (*Problem, error) {
 	}
 	pairs[spec.Y] = spec.Ym // the dependent pair joins the match, not the caller's map
 
-	// Build schemas with shared Domain names for matched columns.
-	continuous := make(map[string]bool, len(spec.ContinuousCols))
-	for _, c := range spec.ContinuousCols {
-		continuous[c] = true
-	}
-	for i, name := range inHeader {
-		if looksContinuous(column(inRows, i)) {
-			continuous[name] = true
-		}
-	}
-
+	// A matched master column names the domain it shares with every
+	// input column matched to it.
 	inAttrs := make([]relation.Attribute, len(inHeader))
 	for i, name := range inHeader {
 		a := relation.Attribute{Name: name, Domain: "in:" + name}
 		if m, ok := pairs[name]; ok {
-			a.Domain = "match:" + name + "=" + m
+			a.Domain = "match:" + m
 		}
-		if continuous[name] {
+		if looksContinuous(column(inRows, i)) {
 			a.Type = relation.Continuous
 		}
 		inAttrs[i] = a
 	}
-	domainOfMaster := make(map[string]string)
-	for in, m := range pairs {
-		domainOfMaster[m] = "match:" + in + "=" + m
+	matched := make(map[string]bool, len(pairs))
+	for _, m := range pairs {
+		matched[m] = true
 	}
 	msAttrs := make([]relation.Attribute, len(msHeader))
 	for i, name := range msHeader {
 		a := relation.Attribute{Name: name, Domain: "ms:" + name}
-		if d, ok := domainOfMaster[name]; ok {
-			a.Domain = d
+		if matched[name] {
+			a.Domain = "match:" + name
 		}
 		msAttrs[i] = a
 	}
@@ -131,7 +119,6 @@ func LoadCSVProblem(spec CSVSpec) (*Problem, error) {
 		Y:                y,
 		Ym:               ym,
 		SupportThreshold: eta,
-		TopK:             spec.TopK,
 	}, nil
 }
 
@@ -191,8 +178,9 @@ func looksContinuous(vals []string) bool {
 }
 
 // inferPairsByValues matches columns by Jaccard overlap of their value
-// sets plus a same-name bonus, mirroring schema.InferMatch over raw
-// records (the relations are not built yet at this point).
+// sets plus a same-name bonus, over raw records (the relations are not
+// built yet at this point). Each input column, in header order, takes
+// the best-scoring master column not yet taken.
 func inferPairsByValues(inHeader []string, inRows [][]string, msHeader []string, msRows [][]string) map[string]string {
 	set := func(vals []string) map[string]struct{} {
 		out := make(map[string]struct{})

@@ -63,7 +63,7 @@ func TestLoadCSVProblemExplicitMatch(t *testing.T) {
 	if want := map[string]string{"district": "district", "area": "area"}; !maps.Equal(pairs, want) {
 		t.Errorf("LoadCSVProblem changed the caller's MatchPairs to %v, want %v", pairs, want)
 	}
-	if err := erminer.Validate(p); err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if p.Input.NumRows() != 200 || p.Master.NumRows() != 200 {
@@ -96,6 +96,48 @@ func TestLoadCSVProblemExplicitMatch(t *testing.T) {
 	filled := erminer.WriteFixes(p.Input, y, fixes, true)
 	if filled != 20 {
 		t.Errorf("filled %d missing postcodes, want 20", filled)
+	}
+}
+
+// Two input columns matched to one master column both take that
+// column's dictionary, so each joins it on comparable codes.
+func TestLoadCSVProblemManyToOneMatch(t *testing.T) {
+	in, ms := writeCSVFixture(t)
+	for i := 0; i < 20; i++ {
+		p, err := erminer.LoadCSVProblem(erminer.CSVSpec{
+			InputPath: in, MasterPath: ms, Y: "postcode", Ym: "postcode",
+			MatchPairs: map[string]string{"district": "district", "area": "district"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := p.Master.Dict(p.Master.Schema().MustIndex("district"))
+		for _, a := range []string{"district", "area"} {
+			if p.Input.Dict(p.Input.Schema().MustIndex(a)) != x {
+				t.Fatalf("load %d: input column %s does not share the master district dictionary", i, a)
+			}
+		}
+	}
+}
+
+// A match naming two unknown input columns fails with the same error on
+// every load.
+func TestLoadCSVProblemMatchErrorStable(t *testing.T) {
+	in, ms := writeCSVFixture(t)
+	var first string
+	for i := 0; i < 20; i++ {
+		_, err := erminer.LoadCSVProblem(erminer.CSVSpec{
+			InputPath: in, MasterPath: ms, Y: "postcode", Ym: "postcode",
+			MatchPairs: map[string]string{"nope1": "district", "nope2": "area"},
+		})
+		if err == nil {
+			t.Fatal("unknown match columns accepted")
+		}
+		if i == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("load %d: error %q, load 0 said %q", i, err, first)
+		}
 	}
 }
 

@@ -58,8 +58,8 @@ func ExampleNewRLMiner() {
 	// trained steps: 1000
 }
 
-// ExampleChase repairs two attributes whose fixes cascade: the chase
-// fixes M from K, then Y from the repaired M.
+// ExampleChase mines rules for the dependent attribute and chases them
+// to a fixpoint over the input relation.
 func ExampleChase() {
 	ds, err := erminer.BuildDataset("covid", erminer.DatasetSpec{
 		InputSize: 600, MasterSize: 400, Seed: 5,
@@ -71,13 +71,13 @@ func ExampleChase() {
 	p := ds.Problem(0)
 	p.TopK = 5
 
-	targets, err := erminer.MineAll(p, func(y int) erminer.Miner {
-		return erminer.NewEnuMinerH3(erminer.EnuMinerConfig{MaxExplored: 20000})
-	})
+	mined, err := erminer.NewEnuMinerH3(erminer.EnuMinerConfig{MaxExplored: 20000}).Mine(p)
 	if err != nil {
 		panic(err)
 	}
-	res := erminer.Chase(p.Input, p.Master, targets, 0)
+	res := erminer.Chase(p.Input, p.Master, []erminer.ChaseTarget{
+		{Y: p.Y, Rules: mined.RuleList()},
+	}, 0)
 	fmt.Printf("chase fixed cells: %v\n", res.Total > 0)
 	// Output:
 	// chase fixed cells: true

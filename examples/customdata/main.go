@@ -61,8 +61,8 @@ func main() {
 	}
 	fmt.Printf("\nexported rules to %s (%d bytes)\n", rulesPath, len(data))
 
-	// Chase-repair: here a single target; with rules mined for several
-	// attributes (erminer.MineAll) the chase cascades fixes.
+	// Chase-repair: here a single target; given rule sets for several
+	// attributes, the chase cascades fixes from one to the next.
 	missing := countMissing(p)
 	chase := erminer.Chase(p.Input, p.Master, []erminer.ChaseTarget{
 		{Y: p.Y, Rules: res.RuleList()},

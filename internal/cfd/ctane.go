@@ -24,9 +24,6 @@ type Config struct {
 	// whose dominant Y value covers at least this fraction of matching
 	// master tuples is emitted. Zero means the default 0.95.
 	MinConfidence float64
-	// MinSupport is the master-side support threshold. Zero derives it
-	// from the problem's η_s scaled by |D_m| / |D| (at least 5).
-	MinSupport int
 	// MaxLevel bounds |X| + |t_p|; zero means the default 4.
 	MaxLevel int
 }
@@ -86,12 +83,11 @@ func (m *Miner) Mine(p *core.Problem) (*core.ResultSet, error) {
 	}
 	master := p.Master
 
-	minSupp := m.cfg.MinSupport
-	if minSupp == 0 {
-		minSupp = p.SupportThreshold * master.NumRows() / maxInt(1, p.Input.NumRows())
-		if minSupp < 5 {
-			minSupp = 5
-		}
+	// The master-side support threshold is η_s scaled by |D_m| / |D|
+	// (at least 5).
+	minSupp := p.SupportThreshold * master.NumRows() / maxInt(1, p.Input.NumRows())
+	if minSupp < 5 {
+		minSupp = 5
 	}
 
 	// Invert the match: master attribute → input attribute (first match).

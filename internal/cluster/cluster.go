@@ -76,8 +76,6 @@ type Config struct {
 	// MaxBatch bounds tuples per repair/validate call, mirroring the
 	// single-node daemon. Zero means 10000.
 	MaxBatch int
-	// MaxBody bounds request bodies in bytes. Zero means 32 MiB.
-	MaxBody int64
 	// Client overrides the HTTP client used for worker calls. Nil means
 	// a private default whose Timeout is twice the per-worker timeout:
 	// per-attempt deadlines come from request contexts, and the client
@@ -132,13 +130,6 @@ func (c Config) maxBatch() int {
 		return c.MaxBatch
 	}
 	return 10000
-}
-
-func (c Config) maxBody() int64 {
-	if c.MaxBody > 0 {
-		return c.MaxBody
-	}
-	return 32 << 20
 }
 
 // Coordinator fans repair/validate batches out over the worker fleet

@@ -76,41 +76,24 @@ func retryableStatus(code int) bool {
 }
 
 // dispatch sends one sub-batch to its pinned worker, retrying with
-// exponential backoff, then hedges across the remaining healthy workers
-// in ring order. It reads the successful worker's raw response bytes
-// into *dst, or returns a *passthrough for a 4xx answer, which the
-// caller relays. The
-// method is threaded explicitly from the handler so every hop of a
-// sub-batch carries the same (method, path) pair the httpcontract check
-// resolves against the worker's registered routes.
+// exponential backoff (postWithRetry), then hedges across the remaining
+// healthy workers in ring order. It reads the successful worker's raw
+// response bytes into *dst, or returns a *passthrough for a 4xx answer,
+// which the caller relays. The method is threaded explicitly from the
+// handler so every hop of a sub-batch carries the same (method, path)
+// pair the httpcontract check resolves against the worker's registered
+// routes.
 func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []byte, pinned int, dst *[]byte) error {
-	backoff := c.cfg.retryBackoff()
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.retries(); attempt++ {
-		if attempt > 0 {
-			c.metrics.retriesTotal.Add(1)
-			if err := sleepCtx(ctx, backoff); err != nil {
-				return err
-			}
-			backoff *= 2
-		}
-		err := c.tryWorker(ctx, pinned, method, path, body, dst)
-		if err == nil {
-			return nil
-		}
-		if pt, ok := err.(*passthrough); ok && !retryableStatus(pt.status) {
-			return pt
-		}
-		lastErr = err
+	down, lastErr := c.postWithRetry(ctx, pinned, method, path, body, dst)
+	if !down {
+		return lastErr
 	}
 
-	// The pinned worker is out of budget: mark it down and hedge the
+	// The pinned worker is out of budget and marked down: hedge the
 	// sub-batch across the rest of the fleet. One attempt per healthy
 	// peer — the retry budget was the pinned worker's; a peer that also
 	// fails is likely sharing its fate (network partition, bad push) and
 	// burning backoff on it only delays the client's error.
-	c.reg.markDead(pinned, lastErr)
-	c.metrics.workerFailures.Add(1)
 	n := len(c.workers)
 	for off := 1; off < n; off++ {
 		j := (pinned + off) % n
@@ -130,6 +113,36 @@ func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []
 		lastErr = err
 	}
 	return fmt.Errorf("all workers failed for %s sub-batch pinned to worker %d: %w", path, pinned, lastErr)
+}
+
+// postWithRetry sends body to worker i with bounded retries and
+// exponential backoff, reading the answer into *dst. A 4xx passthrough
+// or a cancelled backoff returns at once with down false. A worker that
+// uses up its budget is marked down and its last error returned with
+// down true.
+func (c *Coordinator) postWithRetry(ctx context.Context, i int, method, path string, body []byte, dst *[]byte) (down bool, err error) {
+	backoff := c.cfg.retryBackoff()
+	var lastErr error
+	for attempt := 0; attempt <= c.cfg.retries(); attempt++ {
+		if attempt > 0 {
+			c.metrics.retriesTotal.Add(1)
+			if err := sleepCtx(ctx, backoff); err != nil {
+				return false, err
+			}
+			backoff *= 2
+		}
+		err := c.tryWorker(ctx, i, method, path, body, dst)
+		if err == nil {
+			return false, nil
+		}
+		if pt, ok := err.(*passthrough); ok && !retryableStatus(pt.status) {
+			return false, pt
+		}
+		lastErr = err
+	}
+	c.reg.markDead(i, lastErr)
+	c.metrics.workerFailures.Add(1)
+	return true, lastErr
 }
 
 // tryWorker makes one request attempt against one worker, bounded by

@@ -158,7 +158,7 @@ func (c *Coordinator) batch(w http.ResponseWriter, r *http.Request, method, path
 		return nil, nil, nil, false
 	}
 	var req serve.TupleBatch
-	if !serve.DecodeBatch(w, r, c.cfg.maxBody(), c.cfg.maxBatch(), &req) {
+	if !serve.DecodeBatch(w, r, c.cfg.maxBatch(), &req) {
 		return nil, nil, nil, false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.requestTimeout())
@@ -240,7 +240,7 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.maxBody()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	if err != nil {
 		serve.HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
@@ -320,7 +320,7 @@ func (c *Coordinator) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req serve.DataPatchRequest
-	if err := serve.DecodeJSON(w, r, c.cfg.maxBody(), &req); err != nil {
+	if err := serve.DecodeJSON(w, r, &req); err != nil {
 		serve.HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -379,7 +379,7 @@ func (c *Coordinator) pushAll(ctx context.Context, method, path string, body []b
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			data[i], errs[i] = c.postWithRetry(ctx, i, method, path, body)
+			_, errs[i] = c.postWithRetry(ctx, i, method, path, body, &data[i])
 		}(i)
 	}
 	wg.Wait()
@@ -389,34 +389,6 @@ func (c *Coordinator) pushAll(ctx context.Context, method, path string, body []b
 		}
 	}
 	return data, nil
-}
-
-// postWithRetry is the single-worker analogue of dispatch: bounded
-// retries with backoff on the one target, no failover.
-func (c *Coordinator) postWithRetry(ctx context.Context, i int, method, path string, body []byte) ([]byte, error) {
-	backoff := c.cfg.retryBackoff()
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.retries(); attempt++ {
-		if attempt > 0 {
-			c.metrics.retriesTotal.Add(1)
-			if err := sleepCtx(ctx, backoff); err != nil {
-				return nil, err
-			}
-			backoff *= 2
-		}
-		var data []byte
-		err := c.tryWorker(ctx, i, method, path, body, &data)
-		if err == nil {
-			return data, nil
-		}
-		if pt, ok := err.(*passthrough); ok && !retryableStatus(pt.status) {
-			return nil, pt
-		}
-		lastErr = err
-	}
-	c.reg.markDead(i, lastErr)
-	c.metrics.workerFailures.Add(1)
-	return nil, lastErr
 }
 
 // relayPushError maps a push failure onto the client: a worker's

@@ -19,35 +19,23 @@ type SynthSpec struct {
 	NumAttrs int
 	// DomainSize is the domain cardinality of every evidence attribute.
 	DomainSize int
-	// RuleAttrs is how many evidence attributes determine Y (the
-	// planted rule's LHS width). Zero means 2.
-	RuleAttrs int
-	// NoiseRate is the fraction of entities with an idiosyncratic Y.
-	// Zero means 0.05.
-	NoiseRate float64
 }
 
-func (s SynthSpec) ruleAttrs() int {
-	if s.RuleAttrs > 0 {
-		return s.RuleAttrs
-	}
-	return 2
-}
-
-func (s SynthSpec) noiseRate() float64 {
-	if s.NoiseRate > 0 {
-		return s.NoiseRate
-	}
-	return 0.05
-}
+// synthRuleAttrs is how many evidence attributes determine Y (the
+// planted rule's LHS width); synthNoiseRate is the fraction of entities
+// with an idiosyncratic Y.
+const (
+	synthRuleAttrs = 2
+	synthNoiseRate = 0.05
+)
 
 // Synth returns a parametric world: attributes a0..a{n-1} with uniform
 // domains of the requested size, a guard G (the divergent sub-population
-// is absent from master data), and Y determined by the first RuleAttrs
-// attributes.
+// is absent from master data), and Y determined by the first
+// synthRuleAttrs attributes.
 func Synth(spec SynthSpec) *World {
-	if spec.NumAttrs < spec.ruleAttrs() {
-		panic(fmt.Sprintf("datagen: Synth needs at least %d attributes", spec.ruleAttrs()))
+	if spec.NumAttrs < synthRuleAttrs {
+		panic(fmt.Sprintf("datagen: Synth needs at least %d attributes", synthRuleAttrs))
 	}
 	var inAttrs, msAttrs []relation.Attribute
 	for i := 0; i < spec.NumAttrs; i++ {
@@ -69,7 +57,7 @@ func Synth(spec SynthSpec) *World {
 		for i := 0; i < spec.NumAttrs; i++ {
 			v := rng.Intn(spec.DomainSize)
 			e[fmt.Sprintf("a%d", i)] = fmt.Sprintf("v%d", v)
-			if i < spec.ruleAttrs() {
+			if i < synthRuleAttrs {
 				h = h*31 + v
 			}
 		}
@@ -84,7 +72,7 @@ func Synth(spec SynthSpec) *World {
 			// the master data, guarded by g.
 			g = "odd"
 			y = rng.Intn(yDomain)
-		case rng.Float64() < spec.noiseRate():
+		case rng.Float64() < synthNoiseRate:
 			y = rng.Intn(yDomain)
 		}
 		e["g"] = g

@@ -43,12 +43,6 @@ type Config struct {
 	// MaxExplored caps the number of evaluated candidates as a safety
 	// valve; zero means no cap.
 	MaxExplored int
-	// Parallelism overrides the problem's worker budget for the
-	// level-synchronized frontier expansion. Zero defers to
-	// Problem.Workers() (whose own default is runtime.NumCPU()); 1
-	// forces the serial walk. Any setting produces a bit-identical
-	// ResultSet.
-	Parallelism int
 }
 
 // Miner is the enumeration-based discovery algorithm.
@@ -102,11 +96,9 @@ func (m *Miner) Mine(p *core.Problem) (*core.ResultSet, error) {
 		found    []core.MinedRule
 		explored int
 	)
-	workers := m.cfg.Parallelism
-	if workers == 0 {
-		workers = p.Workers()
-	}
-	if workers > 1 {
+	// The frontier expands on Problem.Workers() workers; any count
+	// produces a bit-identical ResultSet.
+	if workers := p.Workers(); workers > 1 {
 		found, explored = m.mineParallel(p, space, ev, root, workers)
 	} else {
 		found, explored = m.mineSerial(p, space, ev, root)

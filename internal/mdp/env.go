@@ -20,12 +20,6 @@ import (
 type Config struct {
 	// Space configures the refinement space (N_split, prefix buckets).
 	Space core.SpaceConfig
-	// StopReward is θ, the small positive reward of the stop action.
-	// Zero means the paper default 0.01.
-	StopReward float64
-	// InvalidReward is the constant reward of a below-threshold rule.
-	// Zero means the paper default -0.01.
-	InvalidReward float64
 	// DisableNormalize keeps rewards at raw utility scale. By default
 	// utilities are divided by MaxUtility(|D|) so rewards live in
 	// roughly [-1, 1], which stabilises the DQN (implementation choice;
@@ -49,19 +43,13 @@ type Config struct {
 	MaxEpisodeSteps int
 }
 
-func (c Config) stopReward() float64 {
-	if c.StopReward != 0 {
-		return c.StopReward
-	}
-	return 0.01
-}
-
-func (c Config) invalidReward() float64 {
-	if c.InvalidReward != 0 {
-		return c.InvalidReward
-	}
-	return -0.01
-}
+// stopReward is θ, the small positive reward of the stop action, and
+// invalidReward the constant reward of a below-threshold rule (the
+// paper's defaults).
+const (
+	stopReward    = 0.01
+	invalidReward = -0.01
+)
 
 func (c Config) maxEpisodeSteps() int {
 	if c.MaxEpisodeSteps > 0 {
@@ -347,7 +335,7 @@ func (e *Env) Step(action int) StepResult {
 
 	if action == e.StopAction() {
 		// Stop refinement: move to the next node in level order.
-		r := e.cfg.stopReward()
+		r := stopReward
 		if len(e.queue) == 0 {
 			e.done = true
 			return StepResult{State: e.State(), Mask: e.Mask(), Reward: r, Done: true}
@@ -375,7 +363,7 @@ func (e *Env) growChild(parent *node, action int) float64 {
 	if !ok {
 		// The action was masked for structural reasons; treat as an
 		// invalid rule. (Agents only pick masked actions in tests.)
-		return e.cfg.invalidReward()
+		return invalidReward
 	}
 	setDims := insertDim(parent.setDims, action)
 	key := keyOf(setDims)
@@ -397,7 +385,7 @@ func (e *Env) growChild(parent *node, action int) float64 {
 		if len(childRule.LHS) > 0 && ms.Support >= e.problem.SupportThreshold {
 			cm.reward = ms.Utility / e.norm
 		} else {
-			cm.reward = e.cfg.invalidReward()
+			cm.reward = invalidReward
 		}
 		e.rewardCache[key] = cm
 	}

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -133,13 +132,6 @@ func (r *Relation) ApplyDelta(d Delta) (ChangeSet, error) {
 	for _, row := range d.Appends {
 		for col, c := range row {
 			r.cols[col] = append(r.cols[col], c)
-			if r.nums[col] != nil {
-				v, ok := r.NumericValue(r.n, col)
-				if !ok {
-					v = math.Inf(-1)
-				}
-				r.nums[col] = append(r.nums[col], v)
-			}
 		}
 		r.n++
 		cs.Appended++
@@ -150,7 +142,6 @@ func (r *Relation) ApplyDelta(d Delta) (ChangeSet, error) {
 			continue
 		}
 		r.cols[u.Col][u.Row] = u.Code
-		r.nums[u.Col] = nil
 		touched[u.Col] = struct{}{}
 	}
 	if len(touched) > 0 {

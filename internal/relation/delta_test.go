@@ -23,26 +23,6 @@ func TestSetCodeNoOpKeepsVersion(t *testing.T) {
 	}
 }
 
-// Regression: appending must extend resident numeric caches in place
-// rather than dropping them, so untouched continuous columns keep the
-// same backing slice.
-func TestAppendExtendsNumericCacheInPlace(t *testing.T) {
-	r := buildTestRelation(t)
-	before := r.Numeric(2)
-	r.AppendRow([]string{"SZ", "51800", "60"})
-	after := r.Numeric(2)
-	if len(after) != 4 || after[3] != 60 {
-		t.Fatalf("Numeric after append = %v", after)
-	}
-	// The first three parsed values must be carried over, not re-parsed
-	// into a fresh slice starting from scratch.
-	for i := range before[:3] {
-		if after[i] != before[i] {
-			t.Errorf("Numeric[%d] changed across append: %g -> %g", i, before[i], after[i])
-		}
-	}
-}
-
 func TestApplyDeltaAtomicAndLogged(t *testing.T) {
 	r := buildTestRelation(t)
 	v0 := r.Version()

@@ -12,9 +12,7 @@ package relation
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 )
 
 // Null is the dictionary code used for missing values.
@@ -190,10 +188,7 @@ type Relation struct {
 	pool   *Pool
 	cols   [][]int32
 	dicts  []*Dict
-	// nums caches the numeric interpretation of continuous columns,
-	// indexed by column then row; nil for discrete columns.
-	nums [][]float64
-	n    int
+	n      int
 	// version counts mutations (AppendCodes, SetCode, ApplyDelta) so
 	// derived caches such as measure.ColumnIndex can detect staleness
 	// cheaply.
@@ -217,7 +212,6 @@ func New(schema *Schema, pool *Pool) *Relation {
 		pool:   pool,
 		cols:   make([][]int32, schema.Len()),
 		dicts:  make([]*Dict, schema.Len()),
-		nums:   make([][]float64, schema.Len()),
 	}
 	for i := 0; i < schema.Len(); i++ {
 		r.dicts[i] = pool.Dict(schema.Attr(i).DomainName())
@@ -266,16 +260,6 @@ func (r *Relation) AppendCodes(codes []int32) {
 	}
 	for i, c := range codes {
 		r.cols[i] = append(r.cols[i], c)
-		// Extend resident numeric caches in place instead of dropping the
-		// whole cache: untouched columns keep their parsed values and only
-		// the one appended cell is parsed.
-		if r.nums[i] != nil {
-			v, ok := r.NumericValue(r.n, i)
-			if !ok {
-				v = math.Inf(-1)
-			}
-			r.nums[i] = append(r.nums[i], v)
-		}
 	}
 	r.n++
 	r.version++
@@ -293,7 +277,6 @@ func (r *Relation) SetCode(row, col int, code int32) {
 		return
 	}
 	r.cols[col][row] = code
-	r.nums[col] = nil
 	r.version++
 	r.logChange(ChangeSet{From: r.version - 1, To: r.version, OldRows: r.n, Cols: []int{col}})
 }
@@ -322,38 +305,6 @@ func (r *Relation) SetValue(row, col int, v string) {
 // relation; callers must not modify it.
 func (r *Relation) Column(col int) []int32 { return r.cols[col] }
 
-// Numeric returns the numeric interpretation of a continuous column,
-// computed lazily. Null or non-parsable cells map to -Inf so they sort
-// first and never fall inside a finite range condition.
-func (r *Relation) Numeric(col int) []float64 {
-	if r.nums[col] != nil {
-		return r.nums[col]
-	}
-	out := make([]float64, r.n)
-	for row := 0; row < r.n; row++ {
-		v, ok := r.NumericValue(row, col)
-		if !ok {
-			v = math.Inf(-1)
-		}
-		out[row] = v
-	}
-	r.nums[col] = out
-	return out
-}
-
-// NumericValue parses cell (row, col) as a float64.
-func (r *Relation) NumericValue(row, col int) (float64, bool) {
-	c := r.cols[col][row]
-	if c == Null {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(r.dicts[col].Value(c), 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
-}
-
 // Clone returns a deep copy of the relation sharing the same schema, pool
 // and dictionaries.
 func (r *Relation) Clone() *Relation {
@@ -363,20 +314,6 @@ func (r *Relation) Clone() *Relation {
 		c.cols[i] = append([]int32(nil), r.cols[i]...)
 	}
 	return c
-}
-
-// Select returns a new relation containing the given rows, in order.
-func (r *Relation) Select(rows []int) *Relation {
-	out := New(r.schema, r.pool)
-	out.n = len(rows)
-	for c := range r.cols {
-		col := make([]int32, len(rows))
-		for i, row := range rows {
-			col[i] = r.cols[c][row]
-		}
-		out.cols[c] = col
-	}
-	return out
 }
 
 // Row returns the codes of one tuple as a fresh slice.

@@ -1,8 +1,6 @@
 package relation
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -181,42 +179,6 @@ func TestSetValueAndSetCode(t *testing.T) {
 	}
 }
 
-func TestNumeric(t *testing.T) {
-	r := buildTestRelation(t)
-	nums := r.Numeric(2)
-	want := []float64{30, 41, 25}
-	for i, w := range want {
-		if nums[i] != w {
-			t.Errorf("Numeric[%d] = %g, want %g", i, nums[i], w)
-		}
-	}
-	// Null and non-numeric cells map to -Inf.
-	nonNum := r.Numeric(0)
-	for i, v := range nonNum {
-		if !math.IsInf(v, -1) {
-			t.Errorf("Numeric(city)[%d] = %g, want -Inf", i, v)
-		}
-	}
-	if v, ok := r.NumericValue(2, 1); ok || v != 0 {
-		t.Errorf("NumericValue of Null = (%g, %v), want (0, false)", v, ok)
-	}
-	// The cache must be invalidated by writes.
-	r.SetValue(0, 2, "99")
-	if got := r.Numeric(2)[0]; got != 99 {
-		t.Errorf("Numeric after SetValue = %g, want 99", got)
-	}
-}
-
-func TestNumericCacheInvalidatedByAppend(t *testing.T) {
-	r := buildTestRelation(t)
-	_ = r.Numeric(2)
-	r.AppendRow([]string{"SZ", "51800", "60"})
-	nums := r.Numeric(2)
-	if len(nums) != 4 || nums[3] != 60 {
-		t.Errorf("Numeric after append = %v", nums)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	r := buildTestRelation(t)
 	c := r.Clone()
@@ -230,17 +192,6 @@ func TestCloneIsDeep(t *testing.T) {
 	// Clones share dictionaries: codes must be comparable.
 	if c.Code(1, 0) != r.Code(1, 0) {
 		t.Error("clone codes differ from original")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	r := buildTestRelation(t)
-	s := r.Select([]int{2, 0})
-	if s.NumRows() != 2 {
-		t.Fatalf("Select rows = %d, want 2", s.NumRows())
-	}
-	if s.Value(0, 0) != "HZ" || s.Value(1, 1) != "31200" {
-		t.Errorf("Select reordered wrongly: %v / %v", s.RowStrings(0), s.RowStrings(1))
 	}
 }
 
@@ -261,59 +212,5 @@ func TestDomainCodesAndCounts(t *testing.T) {
 	counts := r.ValueCounts(0)
 	if counts[r.Code(0, 0)] != 2 {
 		t.Errorf("count(HZ) = %d, want 2", counts[r.Code(0, 0)])
-	}
-}
-
-func TestSampleRows(t *testing.T) {
-	r := buildTestRelation(t)
-	rng := rand.New(rand.NewSource(1))
-	rows := r.SampleRows(rng, 2)
-	if len(rows) != 2 {
-		t.Fatalf("SampleRows = %d rows", len(rows))
-	}
-	if rows[0] == rows[1] {
-		t.Error("SampleRows returned duplicates")
-	}
-	all := r.SampleRows(rng, 10)
-	if len(all) != 3 {
-		t.Errorf("oversized sample = %d rows, want all 3", len(all))
-	}
-	s := r.Sample(rng, 2)
-	if s.NumRows() != 2 {
-		t.Errorf("Sample rows = %d", s.NumRows())
-	}
-}
-
-func TestSplitSampleIndependence(t *testing.T) {
-	r := New(testSchema(), NewPool())
-	for i := 0; i < 100; i++ {
-		r.AppendRow([]string{"c", "z", "1"})
-	}
-	rng := rand.New(rand.NewSource(2))
-	a, b := r.SplitSample(rng, 30, 60)
-	if a.NumRows() != 30 || b.NumRows() != 60 {
-		t.Errorf("SplitSample sizes = %d, %d", a.NumRows(), b.NumRows())
-	}
-}
-
-func TestDuplicateSample(t *testing.T) {
-	r := New(testSchema(), NewPool())
-	for i := 0; i < 200; i++ {
-		r.AppendRow([]string{string(rune('a' + i%26)), "z", "1"})
-	}
-	rng := rand.New(rand.NewSource(3))
-	input, master := r.DuplicateSample(rng, 100, 50, 1.0)
-	if input.NumRows() != 100 || master.NumRows() != 50 {
-		t.Fatalf("sizes = %d, %d", input.NumRows(), master.NumRows())
-	}
-	// With d = 1.0 every input row must duplicate a master row's city.
-	masterCities := make(map[int32]bool)
-	for i := 0; i < master.NumRows(); i++ {
-		masterCities[master.Code(i, 0)] = true
-	}
-	for i := 0; i < input.NumRows(); i++ {
-		if !masterCities[input.Code(i, 0)] {
-			t.Fatalf("input row %d not drawn from master at d=1.0", i)
-		}
 	}
 }

@@ -17,33 +17,21 @@ import (
 // RNG, counters), the environment state (rule tree, reward cache,
 // cross-episode discoveries, evaluator stats), the step position, and
 // the partial Stats accumulated so far. Resuming from it with
-// Miner.ResumeMine reproduces the uninterrupted run bit-for-bit.
+// Miner.ResumeMine reproduces the uninterrupted run bit-for-bit. It
+// holds its gob form, which Save writes and LoadCheckpoint reads as is.
 type Checkpoint struct {
-	name           string
-	seed           int64
-	dimIDs         []string
-	step           int
-	totalSteps     int
-	episodes       int
-	episodeRewards []float64
-	episodeReward  float64 // partial reward of the in-flight episode
-	inEpisode      bool
-	lossSum        float64
-	lossN          int
-	trainTime      time.Duration
-	agentState     []byte
-	envState       []byte
+	w checkpointWire
 }
 
 // Name returns the miner variant that wrote the checkpoint ("RLMiner"
 // or "RLMiner-ft").
-func (c *Checkpoint) Name() string { return c.name }
+func (c *Checkpoint) Name() string { return c.w.Name }
 
 // Step returns the training step the checkpoint was taken at.
-func (c *Checkpoint) Step() int { return c.step }
+func (c *Checkpoint) Step() int { return c.w.Step }
 
 // TotalSteps returns the run's full training budget.
-func (c *Checkpoint) TotalSteps() int { return c.totalSteps }
+func (c *Checkpoint) TotalSteps() int { return c.w.TotalSteps }
 
 // checkpointWireVersion numbers the checkpoint gob format. Bump it on
 // any shape change so ermvet's wiredrift gate can tell a deliberate
@@ -61,7 +49,7 @@ type checkpointWire struct {
 	TotalSteps     int
 	Episodes       int
 	EpisodeRewards []float64
-	EpisodeReward  float64
+	EpisodeReward  float64 // partial reward of the in-flight episode
 	InEpisode      bool
 	LossSum        float64
 	LossN          int
@@ -82,43 +70,27 @@ func (m *Miner) checkpoint(env *mdp.Env, agent *rl.Agent, step, total int,
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{
-		name:           m.name,
-		seed:           m.cfg.Seed,
-		dimIDs:         spaceDimIDs(env.Space()),
-		step:           step,
-		totalSteps:     total,
-		episodes:       m.stats.Episodes,
-		episodeRewards: append([]float64(nil), m.stats.EpisodeRewards...),
-		episodeReward:  episodeReward,
-		inEpisode:      inEpisode,
-		lossSum:        lossSum,
-		lossN:          lossN,
-		trainTime:      trainTime,
-		agentState:     agentState,
-		envState:       envState,
-	}, nil
+	return &Checkpoint{w: checkpointWire{
+		Name:           m.name,
+		Seed:           m.cfg.Seed,
+		DimIDs:         spaceDimIDs(env.Space()),
+		Step:           step,
+		TotalSteps:     total,
+		Episodes:       m.stats.Episodes,
+		EpisodeRewards: append([]float64(nil), m.stats.EpisodeRewards...),
+		EpisodeReward:  episodeReward,
+		InEpisode:      inEpisode,
+		LossSum:        lossSum,
+		LossN:          lossN,
+		TrainTime:      trainTime,
+		AgentState:     agentState,
+		EnvState:       envState,
+	}}, nil
 }
 
 // Save serialises the checkpoint.
 func (c *Checkpoint) Save(w io.Writer) error {
-	wire := checkpointWire{
-		Name:           c.name,
-		Seed:           c.seed,
-		DimIDs:         c.dimIDs,
-		Step:           c.step,
-		TotalSteps:     c.totalSteps,
-		Episodes:       c.episodes,
-		EpisodeRewards: c.episodeRewards,
-		EpisodeReward:  c.episodeReward,
-		InEpisode:      c.inEpisode,
-		LossSum:        c.lossSum,
-		LossN:          c.lossN,
-		TrainTime:      c.trainTime,
-		AgentState:     c.agentState,
-		EnvState:       c.envState,
-	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
+	if err := gob.NewEncoder(w).Encode(c.w); err != nil {
 		return fmt.Errorf("rlminer: saving checkpoint: %w", err)
 	}
 	return nil
@@ -126,32 +98,17 @@ func (c *Checkpoint) Save(w io.Writer) error {
 
 // LoadCheckpoint reads a checkpoint saved with Save.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var wire checkpointWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+	c := &Checkpoint{}
+	if err := gob.NewDecoder(r).Decode(&c.w); err != nil {
 		return nil, fmt.Errorf("rlminer: loading checkpoint: %w", err)
 	}
-	if wire.Step < 0 || wire.TotalSteps <= 0 || wire.Step > wire.TotalSteps {
-		return nil, fmt.Errorf("rlminer: checkpoint step %d/%d out of range", wire.Step, wire.TotalSteps)
+	if c.w.Step < 0 || c.w.TotalSteps <= 0 || c.w.Step > c.w.TotalSteps {
+		return nil, fmt.Errorf("rlminer: checkpoint step %d/%d out of range", c.w.Step, c.w.TotalSteps)
 	}
-	if len(wire.AgentState) == 0 || len(wire.EnvState) == 0 {
+	if len(c.w.AgentState) == 0 || len(c.w.EnvState) == 0 {
 		return nil, fmt.Errorf("rlminer: checkpoint missing agent or environment state")
 	}
-	return &Checkpoint{
-		name:           wire.Name,
-		seed:           wire.Seed,
-		dimIDs:         wire.DimIDs,
-		step:           wire.Step,
-		totalSteps:     wire.TotalSteps,
-		episodes:       wire.Episodes,
-		episodeRewards: wire.EpisodeRewards,
-		episodeReward:  wire.EpisodeReward,
-		inEpisode:      wire.InEpisode,
-		lossSum:        wire.LossSum,
-		lossN:          wire.LossN,
-		trainTime:      wire.TrainTime,
-		agentState:     wire.AgentState,
-		envState:       wire.EnvState,
-	}, nil
+	return c, nil
 }
 
 // WriteFile writes the checkpoint to path atomically: the bytes go to a

@@ -31,9 +31,6 @@ type Config struct {
 	TrainSteps int
 	// FineTuneSteps is the budget used by MineFineTuned. Zero means 1000.
 	FineTuneSteps int
-	// InferenceMaxSteps bounds the greedy inference episode. Zero means
-	// 300 (the paper reports ~150 steps to mine top-K rules, §V-D4).
-	InferenceMaxSteps int
 	// InferenceOnly restricts the final selection to the rules the
 	// greedy inference episode discovers. By default the selection pools
 	// the above-threshold rules discovered across every training episode
@@ -86,12 +83,9 @@ func (c Config) clock() clock.Clock {
 	return clock.System()
 }
 
-func (c Config) inferenceMaxSteps() int {
-	if c.InferenceMaxSteps > 0 {
-		return c.InferenceMaxSteps
-	}
-	return 300
-}
+// inferenceMaxSteps bounds the greedy inference episode (the paper
+// reports ~150 steps to mine top-K rules, §V-D4).
+const inferenceMaxSteps = 300
 
 // Stats reports one mining run's training and inference effort
 // (paper Figure 12).
@@ -151,8 +145,8 @@ func (m *Miner) ResumeMine(p *core.Problem, ck *Checkpoint) (*core.ResultSet, er
 	if ck == nil {
 		return nil, fmt.Errorf("rlminer: nil checkpoint")
 	}
-	m.name = ck.name
-	return m.run(p, nil, nil, ck.totalSteps, ck)
+	m.name = ck.w.Name
+	return m.run(p, nil, nil, ck.w.TotalSteps, ck)
 }
 
 // MineFineTuned is RLMiner-ft: it transfers a previously trained network
@@ -190,23 +184,23 @@ func (m *Miner) run(p *core.Problem, prevNet *nn.MLP, prevDimIDs []string, steps
 	inEpisode := false
 
 	if ck != nil {
-		if !sameIDs(ck.dimIDs, spaceDimIDs(env.Space())) {
+		if !sameIDs(ck.w.DimIDs, spaceDimIDs(env.Space())) {
 			return nil, fmt.Errorf("rlminer: checkpoint refinement space does not match the problem's")
 		}
-		agent, err = rl.LoadAgentState(ck.agentState)
+		agent, err = rl.LoadAgentState(ck.w.AgentState)
 		if err != nil {
 			return nil, err
 		}
-		if err := env.RestoreState(ck.envState); err != nil {
+		if err := env.RestoreState(ck.w.EnvState); err != nil {
 			return nil, err
 		}
-		n = ck.step
-		m.stats.Episodes = ck.episodes
-		m.stats.EpisodeRewards = append([]float64(nil), ck.episodeRewards...)
-		episodeReward = ck.episodeReward
-		inEpisode = ck.inEpisode
-		lossSum, lossN = ck.lossSum, ck.lossN
-		prevTrainTime = ck.trainTime
+		n = ck.w.Step
+		m.stats.Episodes = ck.w.Episodes
+		m.stats.EpisodeRewards = append([]float64(nil), ck.w.EpisodeRewards...)
+		episodeReward = ck.w.EpisodeReward
+		inEpisode = ck.w.InEpisode
+		lossSum, lossN = ck.w.LossSum, ck.w.LossN
+		prevTrainTime = ck.w.TrainTime
 		if inEpisode {
 			state, mask = env.State(), env.Mask()
 		}
@@ -308,7 +302,7 @@ func (m *Miner) run(p *core.Problem, prevNet *nn.MLP, prevDimIDs []string, steps
 	inferStart := now()
 	state, mask = env.Reset()
 	inferSteps := 0
-	for !env.Done() && inferSteps < m.cfg.inferenceMaxSteps() {
+	for !env.Done() && inferSteps < inferenceMaxSteps {
 		a := agent.SelectAction(state, mask, 0)
 		res := env.Step(a)
 		state, mask = res.State, res.Mask

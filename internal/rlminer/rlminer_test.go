@@ -285,8 +285,8 @@ func TestAdaptNetworkNilSpace(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
-	if c.trainSteps() != 5000 || c.fineTuneSteps() != 1000 || c.inferenceMaxSteps() != 300 {
-		t.Errorf("defaults: %d %d %d", c.trainSteps(), c.fineTuneSteps(), c.inferenceMaxSteps())
+	if c.trainSteps() != 5000 || c.fineTuneSteps() != 1000 {
+		t.Errorf("defaults: %d %d", c.trainSteps(), c.fineTuneSteps())
 	}
 }
 

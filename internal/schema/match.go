@@ -74,9 +74,17 @@ func (m *Match) Size() int {
 }
 
 // FromNames builds a match from attribute-name pairs {input: master}.
+// Pairs are checked in input-name order, so an error names the same
+// unknown attribute on every call.
 func FromNames(r, rm *relation.Schema, pairs map[string]string) (*Match, error) {
+	names := make([]string, 0, len(pairs))
+	for a := range pairs {
+		names = append(names, a)
+	}
+	sort.Strings(names)
 	m := NewMatch()
-	for a, am := range pairs {
+	for _, a := range names {
+		am := pairs[a]
 		ia := r.Index(a)
 		if ia < 0 {
 			return nil, fmt.Errorf("schema: input schema has no attribute %q", a)

@@ -194,11 +194,10 @@ func (s *Server) PatchData(done <-chan struct{}, req DataPatchRequest) (DataPatc
 	return resp, http.StatusOK, nil
 }
 
-// applyPatch resolves the request's column names and values to a typed
-// delta under the dictionary lock (unseen values are interned) and
-// applies it. The delta is validated in full before any value is
-// interned, so a rejected delta leaves the shared dictionaries as they
-// were; relation.ApplyDelta is atomic on top of that.
+// applyPatch resolves the request to a typed delta under the
+// dictionary lock (unseen values are interned; see
+// DataPatchRequest.Delta) and applies it. relation.ApplyDelta is atomic
+// on top of Delta's validation.
 func (s *Server) applyPatch(req DataPatchRequest, master bool) (relation.ChangeSet, patchEnv, error) {
 	s.dictMu.Lock()
 	defer s.dictMu.Unlock()
@@ -211,9 +210,36 @@ func (s *Server) applyPatch(req DataPatchRequest, master bool) (relation.ChangeS
 		etaS:    s.p.SupportThreshold,
 	}
 	rel := env.rel(master)
+	d, err := req.Delta(rel)
+	if err != nil {
+		return relation.ChangeSet{}, env, err
+	}
+	cs, err := rel.ApplyDelta(d)
+	if err != nil {
+		return cs, env, err
+	}
+	// Labelled problems: appended input tuples arrive unlabelled, and
+	// Truth must keep pace with the row count (Problem.Validate pins
+	// len(Truth) == NumRows).
+	if !master && cs.Appended > 0 && s.p.Truth != nil {
+		for i := 0; i < cs.Appended; i++ {
+			s.p.Truth = append(s.p.Truth, relation.Null)
+		}
+		env.truth = s.p.Truth
+	}
+	return cs, env, nil
+}
+
+// Delta resolves the request's column names and values against rel.
+// It checks every name and update row before it interns any value, so
+// a rejected request leaves rel's dictionaries as they were. Values are
+// interned in schema order, not map order, so columns that share a
+// domain get the same codes on every run. The caller must hold
+// whatever lock guards rel's dictionaries.
+func (req DataPatchRequest) Delta(rel *relation.Relation) (relation.Delta, error) {
 	schema := rel.Schema()
 	// An append with several unknown columns names the first in sorted
-	// order, so the 400 does not depend on map iteration order.
+	// order, so the error does not depend on map iteration order.
 	for i, t := range req.Appends {
 		var unknown []string
 		for col := range t {
@@ -222,19 +248,17 @@ func (s *Server) applyPatch(req DataPatchRequest, master bool) (relation.ChangeS
 			}
 		}
 		if len(unknown) > 0 {
-			return relation.ChangeSet{}, env, fmt.Errorf("append %d: unknown column %q", i, slices.Min(unknown))
+			return relation.Delta{}, fmt.Errorf("append %d: unknown column %q", i, slices.Min(unknown))
 		}
 	}
 	for i, u := range req.Updates {
 		if schema.Index(u.Attr) < 0 {
-			return relation.ChangeSet{}, env, fmt.Errorf("update %d: unknown column %q", i, u.Attr)
+			return relation.Delta{}, fmt.Errorf("update %d: unknown column %q", i, u.Attr)
 		}
 		if u.Row < 0 || u.Row >= rel.NumRows() {
-			return relation.ChangeSet{}, env, fmt.Errorf("update %d: row %d out of range", i, u.Row)
+			return relation.Delta{}, fmt.Errorf("update %d: row %d out of range", i, u.Row)
 		}
 	}
-	// Values are interned in schema order, not map order, so columns
-	// that share a domain get the same codes on every run.
 	var d relation.Delta
 	for _, t := range req.Appends {
 		row := make([]int32, schema.Len())
@@ -254,20 +278,7 @@ func (s *Server) applyPatch(req DataPatchRequest, master bool) (relation.ChangeS
 		}
 		d.Updates = append(d.Updates, relation.CellUpdate{Row: u.Row, Col: idx, Code: code})
 	}
-	cs, err := rel.ApplyDelta(d)
-	if err != nil {
-		return cs, env, err
-	}
-	// Labelled problems: appended input tuples arrive unlabelled, and
-	// Truth must keep pace with the row count (Problem.Validate pins
-	// len(Truth) == NumRows).
-	if !master && cs.Appended > 0 && s.p.Truth != nil {
-		for i := 0; i < cs.Appended; i++ {
-			s.p.Truth = append(s.p.Truth, relation.Null)
-		}
-		env.truth = s.p.Truth
-	}
-	return cs, env, nil
+	return d, nil
 }
 
 // revalidateAfter re-scores exactly the active rules whose footprint
@@ -302,7 +313,7 @@ func (s *Server) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 	var req DataPatchRequest
-	if err := DecodeJSON(w, r, s.cfg.maxBody(), &req); err != nil {
+	if err := DecodeJSON(w, r, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -53,9 +53,9 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 
 // DecodeJSON strictly decodes the request body into v: unknown fields
 // and anything but whitespace after the value are errors, and the body
-// is capped at maxBody bytes.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+// is capped at MaxBodyBytes.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -69,8 +69,8 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) er
 // DecodeBatch decodes a /v1/repair or /v1/validate request body into
 // req and requires 1..maxBatch tuples. On failure it has answered the
 // 400 and returns false.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBody int64, maxBatch int, req *TupleBatch) bool {
-	if err := DecodeJSON(w, r, maxBody, req); err != nil {
+func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBatch int, req *TupleBatch) bool {
+	if err := DecodeJSON(w, r, req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -231,7 +231,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// actually experience, not just the successes.
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 	var req TupleBatch
-	if !DecodeBatch(w, r, s.cfg.maxBody(), s.cfg.maxBatch(), &req) {
+	if !DecodeBatch(w, r, s.cfg.maxBatch(), &req) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
@@ -348,7 +348,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	// As in handleRepair: every outcome is observed, not just 200s.
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 	var req TupleBatch
-	if !DecodeBatch(w, r, s.cfg.maxBody(), s.cfg.maxBatch(), &req) {
+	if !DecodeBatch(w, r, s.cfg.maxBatch(), &req) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
@@ -444,7 +444,7 @@ type RulesAck struct {
 const RulesAckVersion = 1
 
 func (s *Server) handleRulesPut(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
@@ -462,7 +462,7 @@ func (s *Server) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 // content hash. The coordinator stages on every worker, verifies the
 // returned etags agree, and only then tells anyone to activate.
 func (s *Server) handleRulesStage(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
@@ -502,7 +502,7 @@ const ActivateRequestVersion = 1
 // generation named by the request's etag.
 func (s *Server) handleRulesActivate(w http.ResponseWriter, r *http.Request) {
 	var req ActivateRequest
-	if err := DecodeJSON(w, r, s.cfg.maxBody(), &req); err != nil {
+	if err := DecodeJSON(w, r, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -516,7 +516,7 @@ func (s *Server) handleRulesActivate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := DecodeJSON(w, r, s.cfg.maxBody(), &spec); err != nil {
+	if err := DecodeJSON(w, r, &spec); err != nil {
 		HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -61,8 +61,6 @@ type Config struct {
 	JobQueue int
 	// MaxBatch bounds tuples per repair/validate call. Zero means 10000.
 	MaxBatch int
-	// MaxBody bounds request bodies in bytes. Zero means 32 MiB.
-	MaxBody int64
 	// CheckpointDir, when non-empty, makes rlminer jobs write crash-safe
 	// training checkpoints (and a small spec manifest) there, and makes
 	// New resume jobs a previous process left interrupted.
@@ -118,12 +116,8 @@ func (c Config) maxBatch() int {
 	return 10000
 }
 
-func (c Config) maxBody() int64 {
-	if c.MaxBody > 0 {
-		return c.MaxBody
-	}
-	return 32 << 20
-}
+// MaxBodyBytes caps every request body a daemon or a coordinator reads.
+const MaxBodyBytes = 32 << 20
 
 // ruleSet is one immutable generation of the active rules. Swaps replace
 // the whole value behind the atomic pointer. etag is the generation's
