@@ -14,17 +14,22 @@ check:
 lint:
 	go run ./cmd/ermvet -checks all -json ./...
 
-# Short fuzz smoke over the five byte-parsing surfaces: the CSV
-# ingestion path, the rules JSON import, the coordinator's splice of
-# worker response bytes (held to the old decode-merge-encode), and the
-# daemon's repair/validate and PATCH /v1/data request decoders.
-# CI-friendly 5s per target; raise -fuzztime locally for a real hunt.
+# Short fuzz smoke over seven targets: five byte-parsing surfaces (the
+# CSV ingestion path, the rules JSON import, the coordinator's splice
+# of worker response bytes, held to the old decode-merge-encode, and
+# the daemon's repair/validate and PATCH /v1/data request decoders),
+# and the evaluation engine's two differential fuzzers, which hold the
+# columnar engine and its delta-patched caches to the row-at-a-time
+# oracle. CI-friendly 5s per target; raise -fuzztime locally for a
+# real hunt.
 fuzz:
 	go test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s .
 	go test -run '^$$' -fuzz FuzzImportRules -fuzztime 5s ./internal/rulesio
 	go test -run '^$$' -fuzz FuzzSplice -fuzztime 5s ./internal/cluster
 	go test -run '^$$' -fuzz FuzzRepairRequest -fuzztime 5s ./internal/serve
 	go test -run '^$$' -fuzz FuzzDataPatch -fuzztime 5s ./internal/serve
+	go test -run '^$$' -fuzz FuzzEvaluateColumnar -fuzztime 5s ./internal/measure
+	go test -run '^$$' -fuzz FuzzApplyDelta -fuzztime 5s ./internal/measure
 
 build:
 	go build ./...

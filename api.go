@@ -35,13 +35,6 @@ type (
 	Rule = rule.Rule
 	// Relation is a dictionary-encoded, column-oriented table.
 	Relation = relation.Relation
-	// Delta is a batch of relation mutations (row appends + cell
-	// updates) applied atomically by Relation.ApplyDelta. Codes must be
-	// pre-interned with Dict.Code; Null is allowed.
-	Delta = relation.Delta
-	// CellUpdate overwrites one cell of an existing row with a
-	// pre-interned code.
-	CellUpdate = relation.CellUpdate
 	// PRF is a precision/recall/F-measure triple.
 	PRF = metrics.PRF
 	// RepairResult holds per-tuple predicted fixes.

@@ -10,8 +10,10 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -315,6 +317,54 @@ func TestChaosWorkerKillMidBatch(t *testing.T) {
 	}
 	if chaos.served.Load() == before {
 		t.Error("revived worker served no sub-batch; fan-out did not resume")
+	}
+}
+
+// TestCancelledRequestKeepsWorkersAlive cancels a repair while both
+// workers are still working on their sub-batches. The request ended,
+// not the workers: neither may be marked dead, counted as failed or
+// hedged around.
+func TestCancelledRequestKeepsWorkersAlive(t *testing.T) {
+	var served atomic.Int64
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		// The server notices the client hang up only once the body is
+		// read; until then r.Context() would never end.
+		if _, err := io.Copy(io.Discard, r.Body); err != nil {
+			t.Errorf("reading the sub-batch: %v", err)
+		}
+		<-r.Context().Done()
+	})
+	urls := make([]string, 2)
+	for i := range urls {
+		ts := httptest.NewServer(slow)
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	c := newCoordinator(t, Config{Workers: urls, Retries: -1})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	req := httptest.NewRequest("POST", serve.PathRepair, strings.NewReader(byteBatch)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	c.ServeHTTP(w, req)
+	if w.Code == http.StatusOK {
+		t.Fatalf("cancelled repair answered 200: %s", w.Body.String())
+	}
+	if n := served.Load(); n != 2 {
+		t.Errorf("workers saw %d sub-batches, want 2 (one each, no hedge)", n)
+	}
+	for i := range urls {
+		if !c.reg.alive(i) {
+			t.Errorf("worker %d marked dead by a cancelled request", i)
+		}
+	}
+	if n := c.metrics.workerFailures.Load(); n != 0 {
+		t.Errorf("workerFailures = %d, want 0", n)
+	}
+	if n := c.metrics.redispatches.Load(); n != 0 {
+		t.Errorf("redispatches = %d, want 0", n)
 	}
 }
 

@@ -77,7 +77,8 @@ func retryableStatus(code int) bool {
 
 // dispatch sends one sub-batch to its pinned worker, retrying with
 // exponential backoff (postWithRetry), then hedges across the remaining
-// healthy workers in ring order. It reads the successful worker's raw
+// healthy workers in ring order until one answers or the request's
+// context ends. It reads the successful worker's raw
 // response bytes into *dst, or returns a *passthrough for a 4xx answer,
 // which the caller relays. The method is threaded explicitly from the
 // handler so every hop of a sub-batch carries the same (method, path)
@@ -108,6 +109,9 @@ func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []
 		if pt, ok := err.(*passthrough); ok && !retryableStatus(pt.status) {
 			return pt
 		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		c.reg.markDead(j, err)
 		c.metrics.workerFailures.Add(1)
 		lastErr = err
@@ -116,10 +120,11 @@ func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []
 }
 
 // postWithRetry sends body to worker i with bounded retries and
-// exponential backoff, reading the answer into *dst. A 4xx passthrough
-// or a cancelled backoff returns at once with down false. A worker that
-// uses up its budget is marked down and its last error returned with
-// down true.
+// exponential backoff, reading the answer into *dst. A 4xx passthrough,
+// or an attempt or backoff cut short by the end of the request's
+// context, returns at once with down false: the request ended, not the
+// worker. A worker that uses up its budget is marked down and its last
+// error returned with down true.
 func (c *Coordinator) postWithRetry(ctx context.Context, i int, method, path string, body []byte, dst *[]byte) (down bool, err error) {
 	backoff := c.cfg.retryBackoff()
 	var lastErr error
@@ -137,6 +142,9 @@ func (c *Coordinator) postWithRetry(ctx context.Context, i int, method, path str
 		}
 		if pt, ok := err.(*passthrough); ok && !retryableStatus(pt.status) {
 			return false, pt
+		}
+		if ctx.Err() != nil {
+			return false, ctx.Err()
 		}
 		lastErr = err
 	}

@@ -99,9 +99,10 @@ func (c *IndexCache) ApplyDelta(m *relation.Relation, ch relation.ChangeSet) {
 
 // spliceIndex adds master rows [oldRows, oldRows+appended) to a built
 // master index, skipping rows with a Null Y_m or any Null LHS cell
-// exactly as buildIndex does.
+// exactly as buildIndex does, and re-ranks the histograms it grew.
 func spliceIndex(idx masterIndex, m *relation.Relation, attrs []int, ym, oldRows, appended int) {
 	var buf []byte
+	grown := make(map[*Hist]struct{})
 	for row := oldRows; row < oldRows+appended; row++ {
 		y := m.Code(row, ym)
 		if y == relation.Null {
@@ -126,6 +127,10 @@ func spliceIndex(idx masterIndex, m *relation.Relation, attrs []int, ym, oldRows
 			idx[string(buf)] = h
 		}
 		h.add(y)
+		grown[h] = struct{}{}
+	}
+	for h := range grown {
+		h.rank()
 	}
 }
 

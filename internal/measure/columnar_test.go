@@ -271,12 +271,13 @@ func TestEvaluateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHistFirstAddSetsArg is the regression test for the implicit
-// first-observation tie-break: a histogram whose true argmax has a code
-// larger than 0 must report that code, not the zero value.
+// TestHistFirstAddSetsArg pins the argmax of a histogram whose true
+// argmax has a code larger than 0: it must report that code, not the
+// zero value.
 func TestHistFirstAddSetsArg(t *testing.T) {
 	h := &Hist{Counts: make(map[int32]int)}
 	h.add(5)
+	h.rank()
 	if h.Max != 1 || h.Arg != 5 {
 		t.Fatalf("after first add(5): Max=%d Arg=%d, want 1/5", h.Max, h.Arg)
 	}
@@ -284,6 +285,7 @@ func TestHistFirstAddSetsArg(t *testing.T) {
 	for _, v := range []int32{7, 3, 7} {
 		h2.add(v)
 	}
+	h2.rank()
 	if h2.Max != 2 || h2.Arg != 7 {
 		t.Fatalf("argmax with code > 0: Max=%d Arg=%d, want 2/7", h2.Max, h2.Arg)
 	}

@@ -15,7 +15,9 @@
 package measure
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"erminer/internal/relation"
 	"erminer/internal/rule"
@@ -43,28 +45,42 @@ type Measures struct {
 type Hist struct {
 	Counts map[int32]int
 	Total  int
-	// Max is max_v count(v); Arg is the corresponding value. Ties break
-	// toward the smaller code for determinism.
-	Max int
-	Arg int32
+	// Ranked lists Counts by count descending, ties toward the smaller
+	// value for determinism. Max is max_v count(v) and Arg the value
+	// ranked first. The index build that fills a histogram ranks it, so
+	// a published histogram is read-only.
+	Ranked []ValueCount
+	Max    int
+	Arg    int32
 }
 
+// ValueCount is one value of a histogram with its count.
+type ValueCount struct {
+	Value int32
+	Count int
+}
+
+// add counts one observation of v; rank must run before the histogram
+// is read.
 func (h *Hist) add(v int32) {
 	h.Counts[v]++
 	h.Total++
-	c := h.Counts[v]
-	if h.Total == 1 {
-		// First observation: the argmax is v by definition. Make that
-		// explicit rather than relying on c > h.Max with the zero-valued
-		// Arg — the implicit form silently depends on Max starting at 0
-		// and would corrupt the tie-break if it ever didn't.
-		h.Max, h.Arg = c, v
-		return
+}
+
+// rank fills Ranked, Max and Arg from Counts, which must not be empty.
+func (h *Hist) rank() {
+	ranked := make([]ValueCount, 0, len(h.Counts))
+	for v, c := range h.Counts {
+		ranked = append(ranked, ValueCount{Value: v, Count: c})
 	}
-	if c > h.Max || (c == h.Max && v < h.Arg) {
-		h.Max = c
-		h.Arg = v
-	}
+	slices.SortFunc(ranked, func(a, b ValueCount) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Value, b.Value)
+	})
+	h.Ranked = ranked
+	h.Max, h.Arg = ranked[0].Count, ranked[0].Value
 }
 
 // Certainty returns f_c for tuples in this group: max count / total count.
@@ -272,6 +288,9 @@ func buildIndex(m *relation.Relation, r *rule.Rule) masterIndex {
 			idx[string(buf)] = h
 		}
 		h.add(y)
+	}
+	for _, h := range idx {
+		h.rank()
 	}
 	return idx
 }

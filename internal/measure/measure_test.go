@@ -346,10 +346,12 @@ func TestHistTieBreaksDeterministic(t *testing.T) {
 	h := &Hist{Counts: make(map[int32]int)}
 	h.add(5)
 	h.add(2)
+	h.rank()
 	if h.Arg != 2 {
 		t.Errorf("tie should break to smaller code, got %d", h.Arg)
 	}
 	h.add(5)
+	h.rank()
 	if h.Arg != 5 || h.Max != 2 {
 		t.Errorf("majority should win: %+v", h)
 	}

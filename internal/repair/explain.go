@@ -2,7 +2,6 @@ package repair
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"erminer/internal/measure"
@@ -42,33 +41,41 @@ type Explanation struct {
 // the certainty scores add up. This is the interpretability story
 // rule-based cleaning is chosen for (paper §I: "easier to interpret and
 // thus helpful for users to understand the data").
+//
+// Each rule's candidates come in its histogram's rank order: every
+// score of one histogram divides by the same total, so count order is
+// score order. Each value's scores are summed in rule order, as Apply
+// sums them, so Fix and Score equal Apply's to the bit.
 func Explain(ev *measure.Evaluator, rules []*rule.Rule, row int) Explanation {
 	out := Explanation{Row: row, Fix: relation.Null}
-	total := make(map[int32]float64)
+	// total holds each value's summed score. A tuple meets few distinct
+	// values, so a linear search beats a map.
+	var buf [16]Candidate
+	total := buf[:0]
 	for _, r := range rules {
 		h, ok := ev.Candidates(r, row)
 		if !ok || h.Total == 0 {
 			continue
 		}
-		e := Evidence{Rule: r}
-		for v, c := range h.Counts {
-			score := float64(c) / float64(h.Total)
-			e.Candidates = append(e.Candidates, Candidate{Value: v, Score: score, Count: c})
-			total[v] += score
-		}
-		sort.Slice(e.Candidates, func(i, j int) bool {
-			a, b := e.Candidates[i], e.Candidates[j]
-			if a.Score != b.Score {
-				return a.Score > b.Score
+		e := Evidence{Rule: r, Candidates: make([]Candidate, len(h.Ranked))}
+		for i, vc := range h.Ranked {
+			score := float64(vc.Count) / float64(h.Total)
+			e.Candidates[i] = Candidate{Value: vc.Value, Score: score, Count: vc.Count}
+			j := 0
+			for j < len(total) && total[j].Value != vc.Value {
+				j++
 			}
-			return a.Value < b.Value
-		})
+			if j == len(total) {
+				total = append(total, Candidate{Value: vc.Value})
+			}
+			total[j].Score += score
+		}
 		out.Evidence = append(out.Evidence, e)
 	}
-	for v, s := range total {
-		if s > out.Score || (s == out.Score && (out.Fix == relation.Null || v < out.Fix)) {
-			out.Fix = v
-			out.Score = s
+	for _, t := range total {
+		if t.Score > out.Score || (t.Score == out.Score && (out.Fix == relation.Null || t.Value < out.Fix)) {
+			out.Fix = t.Value
+			out.Score = t.Score
 		}
 	}
 	return out

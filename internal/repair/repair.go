@@ -124,11 +124,11 @@ func applyRule(ev *measure.Evaluator, r *rule.Rule, scores []map[int32]float64) 
 		}
 		m := scores[row]
 		if m == nil {
-			m = make(map[int32]float64, len(h.Counts))
+			m = make(map[int32]float64, len(h.Ranked))
 			scores[row] = m
 		}
-		for v, c := range h.Counts {
-			m[v] += float64(c) / float64(h.Total)
+		for _, vc := range h.Ranked {
+			m[vc.Value] += float64(vc.Count) / float64(h.Total)
 		}
 	}
 	ev.ReleaseCover(cover)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"erminer/internal/relation"
 )
@@ -119,12 +120,28 @@ func (c Condition) SameCodes(o Condition) bool {
 // LHS holds the matched attribute pairs (X, X_m); Pattern holds the
 // conjuncts of t_p. Both are kept sorted (LHS by input attribute, Pattern
 // by attribute then first code) so that equal rules have equal canonical
-// keys.
+// keys. A rule does not change once New, Clone, WithLHS or
+// WithCondition has returned it; String relies on that.
 type Rule struct {
 	LHS     []AttrPair
 	Y       int // dependent attribute in R
 	Ym      int // dependent attribute in R_m
 	Pattern []Condition
+
+	// rendered is String's last result with the context it was
+	// rendered in.
+	rendered atomic.Pointer[rendering]
+}
+
+// rendering is one String result and its render context: the input
+// schema, the dictionary pool of the input relation, and the master
+// schema. The schema and pool fix which dictionary each column reads,
+// and dictionaries only grow, so equal contexts render equal strings.
+type rendering struct {
+	input  *relation.Schema
+	pool   *relation.Pool
+	master *relation.Schema
+	s      string
 }
 
 // New builds a rule, normalising the order of LHS and Pattern.
@@ -251,8 +268,24 @@ func (r *Rule) MatchesPattern(rel *relation.Relation, row int) bool {
 }
 
 // String renders the rule using attribute names from the two schemas and
-// values from the input relation's dictionaries.
+// values from the input relation's dictionaries. The rule keeps its last
+// rendering: a call in the same context (input schema, input pool and
+// master schema, compared as pointers) returns it, and a call in another
+// context renders afresh and replaces it. Concurrent calls are safe
+// while nothing writes the dictionaries; two first calls at once both
+// render the same string.
 func (r *Rule) String(input *relation.Relation, rm *relation.Schema) string {
+	rs, pool := input.Schema(), input.Pool()
+	if c := r.rendered.Load(); c != nil && c.input == rs && c.pool == pool && c.master == rm {
+		return c.s
+	}
+	s := r.render(input, rm)
+	r.rendered.Store(&rendering{input: rs, pool: pool, master: rm, s: s})
+	return s
+}
+
+// render formats the rule for String.
+func (r *Rule) render(input *relation.Relation, rm *relation.Schema) string {
 	rs := input.Schema()
 	var b strings.Builder
 	b.WriteString("((")

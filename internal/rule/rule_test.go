@@ -2,6 +2,7 @@ package rule
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +165,66 @@ func TestString(t *testing.T) {
 	if got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
+}
+
+// renderContexts returns a rule over testRelation's schema and three
+// render contexts with their expected strings: the rule's own relation,
+// a relation over the same schema whose pool interns the city values
+// in the other order, and the first relation against a master schema
+// with other attribute names.
+func renderContexts() (*Rule, []*relation.Relation, []*relation.Schema, []string) {
+	rel := testRelation()
+	other := relation.New(rel.Schema(), relation.NewPool())
+	other.AppendRow([]string{"BJ", "10021", "imports"})
+	other.AppendRow([]string{"HZ", "31200", "patient"})
+	ms := relation.NewSchema(relation.Attribute{Name: "city_m"}, relation.Attribute{Name: "case_m"})
+	ms2 := relation.NewSchema(relation.Attribute{Name: "town"}, relation.Attribute{Name: "kind"})
+	hz, _ := rel.Dict(0).Lookup("HZ")
+	r := New([]AttrPair{{0, 0}}, 2, 1, []Condition{Eq(0, hz)})
+	return r,
+		[]*relation.Relation{rel, other, rel},
+		[]*relation.Schema{ms, ms, ms2},
+		[]string{
+			"(((city,city_m)) -> (case,case_m), tp[city=HZ])",
+			"(((city,city_m)) -> (case,case_m), tp[city=BJ])",
+			"(((city,town)) -> (case,kind), tp[city=HZ])",
+		}
+}
+
+// TestStringPerContext pins String's memo to its render context: each
+// context gets its own string, also when a context comes back after
+// another replaced the stored rendering, and Clone starts unrendered.
+func TestStringPerContext(t *testing.T) {
+	r, rels, masters, want := renderContexts()
+	for _, i := range []int{0, 0, 1, 0, 2, 1, 2, 0} {
+		if got := r.String(rels[i], masters[i]); got != want[i] {
+			t.Errorf("context %d: String = %q, want %q", i, got, want[i])
+		}
+	}
+	if r.Clone().rendered.Load() != nil {
+		t.Error("Clone carried the stored rendering over to the copy")
+	}
+}
+
+// TestStringConcurrent renders one shared rule from 8 goroutines, each
+// cycling through the contexts; run it under -race.
+func TestStringConcurrent(t *testing.T) {
+	r, rels, masters, want := renderContexts()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				i := (g + k/50) % len(want)
+				if got := r.String(rels[i], masters[i]); got != want[i] {
+					t.Errorf("goroutine %d, context %d: String = %q, want %q", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestCloneIsDeep(t *testing.T) {
