@@ -14,14 +14,15 @@ check:
 lint:
 	go run ./cmd/ermvet -checks all -json ./...
 
-# Short fuzz smoke over seven targets: five byte-parsing surfaces (the
+# Short fuzz smoke over eight targets: five byte-parsing surfaces (the
 # CSV ingestion path, the rules JSON import, the coordinator's splice
 # of worker response bytes, held to the old decode-merge-encode, and
 # the daemon's repair/validate and PATCH /v1/data request decoders),
-# and the evaluation engine's two differential fuzzers, which hold the
+# the evaluation engine's two differential fuzzers, which hold the
 # columnar engine and its delta-patched caches to the row-at-a-time
-# oracle. CI-friendly 5s per target; raise -fuzztime locally for a
-# real hunt.
+# oracle, and FuzzKernels, which holds the network's SSE2 training
+# kernels to their Go loops bit for bit. CI-friendly 5s per target;
+# raise -fuzztime locally for a real hunt.
 fuzz:
 	go test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s .
 	go test -run '^$$' -fuzz FuzzImportRules -fuzztime 5s ./internal/rulesio
@@ -30,6 +31,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzDataPatch -fuzztime 5s ./internal/serve
 	go test -run '^$$' -fuzz FuzzEvaluateColumnar -fuzztime 5s ./internal/measure
 	go test -run '^$$' -fuzz FuzzApplyDelta -fuzztime 5s ./internal/measure
+	go test -run '^$$' -fuzz FuzzKernels -fuzztime 5s ./internal/nn
 
 build:
 	go build ./...

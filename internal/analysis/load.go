@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -147,8 +148,9 @@ func LoadDir(dir, importPath string) (*Module, error) {
 	return newModule(pkgs, nil), nil
 }
 
-// parseDir parses the non-test Go files of one directory, returning nil
-// when there are none.
+// parseDir parses the non-test Go files of one directory that the build
+// compiles for this platform (file-name suffixes and //go:build lines
+// decide, as for the go command), returning nil when there are none.
 func parseDir(fset *token.FileSet, dir string) (*pkgSrc, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -158,6 +160,11 @@ func parseDir(fset *token.FileSet, dir string) (*pkgSrc, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

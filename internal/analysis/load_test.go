@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -68,4 +69,38 @@ func TestLoadDirUnknownImport(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "nosuch/pkg") {
 		t.Fatalf("LoadDir: got error %v, want one naming nosuch/pkg", err)
 	}
+}
+
+// TestLoadDirBuildConstraints pins that the loader type-checks the
+// files the build compiles for this platform: a function declared once
+// per architecture, by a file-name suffix and by a //go:build line, is
+// one declaration, not a redeclaration.
+func TestLoadDirBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"k.go":                                   "package p\n\nfunc use() { kernel() }\n",
+		"k_" + runtime.GOARCH + ".go":            "package p\n\nfunc kernel() {}\n",
+		"k_other.go":                             "//go:build !" + runtime.GOARCH + "\n\npackage p\n\nfunc kernel() {}\n",
+		"k_" + otherArch(runtime.GOARCH) + ".go": "package p\n\nfunc kernel() {}\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := analysis.LoadDir(dir, "fixture/p")
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if n := len(mod.Packages[0].Files); n != 2 {
+		t.Errorf("loaded %d files, want 2 (k.go and k_%s.go)", n, runtime.GOARCH)
+	}
+}
+
+// otherArch returns an architecture other than arch.
+func otherArch(arch string) string {
+	if arch == "arm64" {
+		return "amd64"
+	}
+	return "arm64"
 }

@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 
 	"erminer/internal/relation"
 )
@@ -27,7 +28,9 @@ type PRF struct {
 //
 //	Precision_w = Σ_l |ŷ_l|·P_l / Σ_l |ŷ_l|   (analogously for recall)
 //
-// and per-class F is the harmonic mean of the per-class P and R.
+// and per-class F is the harmonic mean of the per-class P and R. The
+// sums run over the classes in ascending code order, so equal inputs
+// give equal bits.
 func Weighted(pred, truth []int32) PRF {
 	if len(pred) != len(truth) {
 		panic("metrics: pred and truth length mismatch")
@@ -58,8 +61,14 @@ func Weighted(pred, truth []int32) PRF {
 		}
 	}
 
+	classes := make([]int32, 0, len(byClass))
+	for l := range byClass {
+		classes = append(classes, l)
+	}
+	slices.Sort(classes)
 	var sumW, sumP, sumR, sumF float64
-	for _, c := range byClass {
+	for _, l := range classes {
+		c := byClass[l]
 		if c.truthN == 0 {
 			// A class that appears only in predictions carries no
 			// truth weight.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"erminer/internal/relation"
@@ -12,6 +13,34 @@ func TestWeightedPerfect(t *testing.T) {
 	got := Weighted(truth, truth)
 	if got.Precision != 1 || got.Recall != 1 || got.F1 != 1 {
 		t.Errorf("perfect predictions scored %+v", got)
+	}
+}
+
+// TestWeightedDeterministic calls Weighted repeatedly on one input with
+// many classes of uneven support: every call must return the same bits,
+// whatever order the classes are met in.
+func TestWeightedDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pred, truth := make([]int32, 2048), make([]int32, 2048)
+	for i := range truth {
+		truth[i] = int32(rng.Intn(1 + rng.Intn(60)))
+		switch rng.Intn(4) {
+		case 0:
+			pred[i] = relation.Null
+		case 1:
+			pred[i] = int32(rng.Intn(70))
+		default:
+			pred[i] = truth[i]
+		}
+	}
+	want := Weighted(pred, truth)
+	for i := 0; i < 200; i++ {
+		got := Weighted(pred, truth)
+		for _, c := range [][2]float64{{got.Precision, want.Precision}, {got.Recall, want.Recall}, {got.F1, want.F1}} {
+			if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+				t.Fatalf("call %d: %+v, first call %+v", i, got, want)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 	"math/rand"
 )
 
-// Param is one trainable tensor with its gradient accumulator.
+// Param is one trainable tensor with the gradient of the last backward
+// pass.
 type Param struct {
 	Value *Matrix
 	Grad  *Matrix
@@ -15,11 +16,11 @@ type Param struct {
 // Dense is a fully connected layer y = x·W + b.
 type Dense struct {
 	W, B *Param
-	x    *Matrix // input of the last Forward, kept for Backward
+	x    *Matrix // input of the last forward pass, kept for the backward one
 
-	// Workspaces: the output, the input gradient, the weight gradient
-	// of the last pass, and the transposed operand of a gradient product.
-	out, dx, dw, t *Matrix
+	// Workspaces: the output, the input gradient, and the transposed
+	// operand of a gradient product.
+	out, dx, t *Matrix
 }
 
 // NewDense builds a Dense layer with Xavier-initialised weights.
@@ -48,35 +49,73 @@ func (d *Dense) Forward(x *Matrix) *Matrix {
 	return d.out
 }
 
-// Backward adds the parameter gradients of gradOut (the gradient with
+// Backward writes the parameter gradients of gradOut (the gradient with
 // respect to the last Forward's output) to W.Grad and B.Grad and
 // returns the gradient with respect to the input, in the layer's
 // workspace.
 func (d *Dense) Backward(gradOut *Matrix) *Matrix {
-	d.accumulate(gradOut)
+	d.gradients(gradOut)
 	d.dx = resize(d.dx, gradOut.Rows, d.W.Value.Rows)
 	d.t = resize(d.t, d.W.Value.Cols, d.W.Value.Rows)
 	MatMulABT(d.dx, gradOut, d.W.Value, d.t)
 	return d.dx
 }
 
-// accumulate is Backward without the input gradient: dW += xᵀ·gradOut
-// and db += the column sums of gradOut.
-func (d *Dense) accumulate(gradOut *Matrix) {
-	d.dw = resize(d.dw, d.W.Value.Rows, d.W.Value.Cols)
+// gradients is Backward without the input gradient: dW = xᵀ·gradOut
+// and db = the column sums of gradOut.
+func (d *Dense) gradients(gradOut *Matrix) {
 	d.t = resize(d.t, d.x.Cols, d.x.Rows)
-	MatMulATB(d.dw, d.x, gradOut, d.t)
-	gw := d.W.Grad.Data[:len(d.dw.Data)]
-	for i, v := range d.dw.Data {
-		gw[i] += v
-	}
+	MatMulATB(d.W.Grad, d.x, gradOut, d.t)
+	gb := d.B.Grad.Data[:gradOut.Cols]
+	clear(gb)
 	for r := 0; r < gradOut.Rows; r++ {
-		row := gradOut.Row(r)
-		gb := d.B.Grad.Data[:len(row)]
-		for j, v := range row {
+		for j, v := range gradOut.Row(r) {
 			gb[j] += v
 		}
 	}
+}
+
+// forwardAt writes to q[i] the single output x_i·W[:, a] + b[a] of row
+// i at column a = actions[i], for every row of x. It sums the row's
+// products in ascending k from +0 and adds the bias last, as Forward
+// does, so for finite operands q[i] equals Forward's element (i, a)
+// bit for bit. It keeps x for backwardAt.
+func (d *Dense) forwardAt(x *Matrix, actions []int, q []float64) {
+	d.x = x
+	w, n := d.W.Value.Data, d.W.Value.Cols
+	for i := range q[:x.Rows] {
+		a := actions[i]
+		s := 0.0
+		for k, v := range x.Row(i) {
+			s += v * w[k*n+a]
+		}
+		q[i] = s + d.B.Value.Data[a]
+	}
+}
+
+// backwardAt is Backward for a gradient that is g[i] at column
+// actions[i] of row i and zero elsewhere, the shape of a loss that reads
+// one output per row. The weight gradient is then a scatter,
+// dW[k][a_i] += x[i][k]·g[i] in ascending i, the bias gradient
+// db[a_i] += g[i], and the input gradient dx[i][k] = +0 + g[i]·W[k][a_i]:
+// the terms Backward's products would add, in the same order, without
+// the zero ones.
+func (d *Dense) backwardAt(actions []int, g []float64) *Matrix {
+	x, w, n := d.x, d.W.Value.Data, d.W.Value.Cols
+	dw, db := d.W.Grad.Data, d.B.Grad.Data
+	clear(dw)
+	clear(db)
+	d.dx = resize(d.dx, x.Rows, x.Cols)
+	for i, gi := range g[:x.Rows] {
+		a := actions[i]
+		db[a] += gi
+		dx := d.dx.Row(i)
+		for k, v := range x.Row(i) {
+			dw[k*n+a] += v * gi
+			dx[k] = 0 + gi*w[k*n+a]
+		}
+	}
+	return d.dx
 }
 
 // ReLU is the rectified linear activation.

@@ -5,14 +5,24 @@
 // a few hundred dimensions and a few thousand training steps — where a
 // CPU implementation is entirely sufficient.
 //
+// Training follows the DQN loss, which reads one output of each row:
+// MLP.ForwardAt computes only that output, and MLP.Backward takes the
+// loss gradient as one value per row and writes, rather than adds to,
+// every parameter gradient. The output layer's products then shrink to
+// a dot product and a scatter per row (DESIGN.md decision 26). The two
+// inner loops left, MatMul's four-term update and Adam's element
+// update, run as SSE2 kernels on amd64 (kernel.go).
+//
 // The products write into per-layer workspaces that grow to the largest
 // batch a network has seen and are reused afterwards, so a steady-state
 // training step allocates nothing. A matrix returned by Forward or
 // Predict, or by a layer's Backward, therefore aliases that network's
-// workspace: it stays valid until the network's next Forward, and a
-// caller that needs it longer copies it. Every product sums each
-// output element's non-zero terms in ascending k starting from +0,
-// which makes skipping zero operands exact (DESIGN.md decision 22).
+// workspace: it stays valid until the network's next Forward,
+// ForwardAt or Predict, and a caller that needs it longer copies it.
+// Every product sums each output element's non-zero terms in ascending
+// k starting from +0, which makes skipping zero operands exact
+// (DESIGN.md decision 22); the one-output passes add the same terms in
+// the same order.
 package nn
 
 import (
@@ -53,9 +63,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Zero resets all elements to zero.
-func (m *Matrix) Zero() { clear(m.Data) }
-
 // resize returns ws reshaped to rows×cols over its own backing store,
 // or a new zero matrix when ws is nil or too small. The contents of a
 // reshaped workspace are stale; every caller overwrites them.
@@ -78,11 +85,11 @@ func shapePanic(op string, out, a, b *Matrix) {
 
 // MatMul computes out = a·b, overwriting out, which must be
 // a.Rows×b.Cols. Each element sums its terms in ascending k from +0 and
-// skips the zero entries of a — one-hot states, ReLU zeros, the loss
-// gradient's single non-zero per row — which leaves every bit unchanged
+// skips the zero entries of a — one-hot states, ReLU zeros — which
+// leaves every bit unchanged
 // (DESIGN.md decision 22). The non-zero terms of a row are applied four
-// at a time, so an output element is loaded and stored once per four
-// terms; it still rounds after each addition, in order.
+// at a time by mulAdd4, so an output element is loaded and stored once
+// per four terms; it still rounds after each addition, in order.
 func MatMul(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		shapePanic("MatMul", out, a, b)
@@ -103,12 +110,8 @@ func MatMul(out, a, b *Matrix) {
 				nk++
 			}
 			if nk == 4 {
-				c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-				x0, x1 := b.Data[ks[0]*n:][:n], b.Data[ks[1]*n:][:n]
-				x2, x3 := b.Data[ks[2]*n:][:n], b.Data[ks[3]*n:][:n]
-				for j := range orow {
-					orow[j] = orow[j] + c0*x0[j] + c1*x1[j] + c2*x2[j] + c3*x3[j]
-				}
+				mulAdd4(orow, b.Data[ks[0]*n:], b.Data[ks[1]*n:], b.Data[ks[2]*n:], b.Data[ks[3]*n:],
+					c[0], c[1], c[2], c[3])
 				nk = 0
 			}
 		}

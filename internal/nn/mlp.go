@@ -60,27 +60,44 @@ func (m *MLP) Predict(v []float64) []float64 {
 	return out.Row(0)
 }
 
-// Backward backpropagates the gradient of the loss w.r.t. the output,
-// accumulating parameter gradients. Forward must have been called first.
-// The input gradient of the first layer is never needed, so it is not
-// computed.
-func (m *MLP) Backward(gradOut *Matrix) {
-	for i := len(m.dense) - 1; i > 0; i-- {
-		gradOut = m.relu[i-1].Backward(m.dense[i].Backward(gradOut))
+// ForwardAt runs a batch through the network but computes, of each row
+// i's output, only the element at column actions[i], into q[i]: the
+// Q-value of the action a transition took, which is all a DQN loss
+// reads. For finite operands q[i] equals Forward's element
+// (i, actions[i]) bit for bit.
+// The hidden layers keep their inputs for Backward, so x and the
+// network must not change until then.
+func (m *MLP) ForwardAt(x *Matrix, actions []int, q []float64) {
+	last := len(m.dense) - 1
+	for i, d := range m.dense[:last] {
+		x = m.relu[i].Forward(d.Forward(x))
 	}
-	m.dense[0].accumulate(gradOut)
+	m.dense[last].forwardAt(x, actions, q)
+}
+
+// Backward writes the parameter gradients (each Param's Grad, replacing
+// what it held) of a loss whose gradient with respect to the output of
+// row i is g[i] at column actions[i] and zero elsewhere. It reads what
+// the last ForwardAt, with the same actions, kept; no Forward or
+// Predict may run on the network in between. The input gradient of the
+// first layer is never needed, so below a hidden layer it is not
+// computed.
+func (m *MLP) Backward(actions []int, g []float64) {
+	last := len(m.dense) - 1
+	gradOut := m.dense[last].backwardAt(actions, g)
+	for i := last - 1; i >= 0; i-- {
+		gradOut = m.relu[i].Backward(gradOut)
+		if i == 0 {
+			m.dense[0].gradients(gradOut)
+		} else {
+			gradOut = m.dense[i].Backward(gradOut)
+		}
+	}
 }
 
 // Params returns all trainable parameters, in layer order. The slice is
 // the network's own and must not be modified.
 func (m *MLP) Params() []*Param { return m.params }
-
-// ZeroGrads clears all parameter gradients.
-func (m *MLP) ZeroGrads() {
-	for _, p := range m.params {
-		p.Grad.Zero()
-	}
-}
 
 // Clone returns a deep copy of the network (used for target networks).
 func (m *MLP) Clone() *MLP {

@@ -22,10 +22,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) == 9 {
 		t.Error("Clone shares storage")
 	}
-	m.Zero()
-	if m.At(1, 2) != 0 {
-		t.Error("Zero failed")
-	}
 	fr := FromRow([]float64{1, 2})
 	if fr.Rows != 1 || fr.Cols != 2 || fr.At(0, 1) != 2 {
 		t.Errorf("FromRow = %+v", fr)
@@ -163,25 +159,33 @@ func TestMatMulShapePanics(t *testing.T) {
 }
 
 // TestGradientCheck compares the analytic gradients of an MLP against
-// central finite differences on a scalar loss L = Σ out².
+// central finite differences on a scalar loss L = ½ Σ_i q_i² over the
+// output q_i of row i at its action, the shape of the DQN loss.
 func TestGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	mlp := NewMLP(rng, 4, 6, 3)
-	x := randMatrix(rng, 2, 4)
+	x := randMatrix(rng, 3, 4)
+	actions := []int{0, 2, 0}
+	q := make([]float64, len(actions))
 
 	loss := func() float64 {
-		out := mlp.Forward(x)
+		mlp.ForwardAt(x, actions, q)
 		l := 0.0
-		for _, v := range out.Data {
+		for _, v := range q {
 			l += v * v
 		}
 		return 0.5 * l
 	}
 
-	// Analytic gradients: dL/dout = out.
-	out := mlp.Forward(x)
-	mlp.ZeroGrads()
-	mlp.Backward(out.Clone())
+	// Analytic gradients: dL/dq = q. Backward overwrites every gradient,
+	// so start from garbage.
+	for _, p := range mlp.Params() {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = math.NaN()
+		}
+	}
+	mlp.ForwardAt(x, actions, q)
+	mlp.Backward(actions, append([]float64(nil), q...))
 
 	const eps = 1e-6
 	for pi, p := range mlp.Params() {
@@ -250,22 +254,80 @@ func TestMLPLearnsXOR(t *testing.T) {
 	for i, v := range xs {
 		copy(x.Row(i), v)
 	}
+	actions := make([]int, 4) // the single output
+	out, grad := make([]float64, 4), make([]float64, 4)
 	var loss float64
 	for epoch := 0; epoch < 2000; epoch++ {
-		out := mlp.Forward(x)
-		grad := NewMatrix(4, 1)
+		mlp.ForwardAt(x, actions, out)
 		loss = 0
 		for i := range ys {
-			e := out.At(i, 0) - ys[i]
+			e := out[i] - ys[i]
 			loss += e * e
-			grad.Set(i, 0, e/4)
+			grad[i] = e / 4
 		}
-		mlp.ZeroGrads()
-		mlp.Backward(grad)
+		mlp.Backward(actions, grad)
 		opt.Step(mlp.Params())
 	}
 	if loss > 0.05 {
 		t.Errorf("XOR loss after training = %g", loss)
+	}
+}
+
+// TestOneHotPassesMatchDense holds the one-output passes to the dense
+// ones bit for bit: forwardAt to Forward's element at each row's
+// action, and backwardAt's weight, bias and input gradients to
+// Backward's for the gradient matrix that is g[i] at column actions[i]
+// and zero elsewhere, on every operand kind the network produces and
+// with signed-zero gradients among the rest.
+func TestOneHotPassesMatchDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 100; trial++ {
+		rows, in, out := 1+rng.Intn(33), 1+rng.Intn(70), 1+rng.Intn(30)
+		oneHot, dense := NewDense(rng, in, out), NewDense(rng, in, out)
+		copy(dense.W.Value.Data, oneHot.W.Value.Data)
+		for j := range oneHot.B.Value.Data {
+			oneHot.B.Value.Data[j] = rng.NormFloat64()
+		}
+		copy(dense.B.Value.Data, oneHot.B.Value.Data)
+		x := operand(rng, trial%3, rows, in)
+		actions, g := make([]int, rows), make([]float64, rows)
+		gm := NewMatrix(rows, out)
+		for i := range actions {
+			actions[i] = rng.Intn(out)
+			switch rng.Intn(8) {
+			case 0:
+				g[i] = math.Copysign(0, -1)
+			case 1:
+				g[i] = 0
+			default:
+				g[i] = rng.NormFloat64() / 32
+			}
+			gm.Set(i, actions[i], g[i])
+		}
+
+		q := make([]float64, rows)
+		oneHot.forwardAt(x, actions, q)
+		full := dense.Forward(x)
+		for i, a := range actions {
+			if math.Float64bits(q[i]) != math.Float64bits(full.At(i, a)) {
+				t.Fatalf("trial %d: forwardAt row %d = %g, Forward %g", trial, i, q[i], full.At(i, a))
+			}
+		}
+		for _, p := range []*Param{oneHot.W, oneHot.B, dense.W, dense.B} {
+			for i := range p.Grad.Data {
+				p.Grad.Data[i] = math.NaN() // both passes write, not add
+			}
+		}
+		dx := oneHot.backwardAt(actions, g)
+		want := dense.Backward(gm)
+		for _, c := range []struct {
+			name      string
+			got, want *Matrix
+		}{{"dW", oneHot.W.Grad, dense.W.Grad}, {"db", oneHot.B.Grad, dense.B.Grad}, {"dx", dx, want}} {
+			if !bitsEq(c.got, c.want) {
+				t.Fatalf("trial %d (%dx%d → %d): backwardAt's %s differs from Backward's", trial, rows, in, out, c.name)
+			}
+		}
 	}
 }
 

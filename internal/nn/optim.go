@@ -22,26 +22,17 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step updates params from their accumulated gradients.
+// Step updates params from their gradients.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
 	for _, p := range params {
 		m, v := a.m[p], a.v[p]
 		if m == nil {
 			m, v = a.initMoments(p)
 		}
-		w := p.Value.Data
-		m, v = m[:len(w)], v[:len(w)]
-		for i, g := range p.Grad.Data[:len(w)] {
-			m[i] = b1*m[i] + (1-b1)*g
-			v[i] = b2*v[i] + (1-b2)*g*g
-			mhat := m[i] / c1
-			vhat := v[i] / c2
-			w[i] -= lr * mhat / (math.Sqrt(vhat) + eps)
-		}
+		adamUpdate(p.Value.Data, m, v, p.Grad.Data, a.Beta1, a.Beta2, c1, c2, a.LR, a.Eps)
 	}
 }
 

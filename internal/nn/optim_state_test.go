@@ -6,17 +6,16 @@ import (
 )
 
 // trainSteps drives net through n Adam steps on a fixed regression
-// target so moments accumulate deterministically.
+// target, one output a step in turn, so moments accumulate
+// deterministically.
 func trainSteps(net *MLP, opt *Adam, n int) {
 	x := FromRow([]float64{0.3, -0.7})
+	outs := net.Sizes()[len(net.Sizes())-1]
+	action, q := []int{0}, []float64{0}
 	for i := 0; i < n; i++ {
-		out := net.Forward(x)
-		grad := NewMatrix(out.Rows, out.Cols)
-		for j := 0; j < out.Cols; j++ {
-			grad.Set(0, j, out.At(0, j)-1)
-		}
-		net.ZeroGrads()
-		net.Backward(grad)
+		action[0] = i % outs
+		net.ForwardAt(x, action, q)
+		net.Backward(action, []float64{q[0] - 1})
 		opt.Step(net.Params())
 	}
 }

@@ -45,22 +45,28 @@ func NewReplay(capacity int) *Replay {
 	return &Replay{buf: make([]Transition, capacity), cap: capacity}
 }
 
-// Add appends a transition, evicting the oldest when full.
-func (r *Replay) Add(t Transition) {
-	r.buf[r.pos] = t
+// Add appends a transition, evicting the oldest when full, and returns
+// the slot it wrote.
+func (r *Replay) Add(t Transition) int {
+	slot := r.pos
+	r.buf[slot] = t
 	r.pos = (r.pos + 1) % r.cap
 	if r.n < r.cap {
 		r.n++
 	}
+	return slot
 }
 
 // Len returns the number of stored transitions.
 func (r *Replay) Len() int { return r.n }
 
-// Sample fills out with transitions drawn uniformly with replacement.
-func (r *Replay) Sample(rng *detrand.RNG, out []Transition) {
+// Sample fills out with transitions drawn uniformly with replacement
+// and slots (as long as out) with the slots they were drawn from.
+func (r *Replay) Sample(rng *detrand.RNG, out []Transition, slots []int) {
+	slots = slots[:len(out)]
 	for i := range out {
-		out[i] = r.buf[rng.Intn(r.n)]
+		slots[i] = rng.Intn(r.n)
+		out[i] = r.buf[slots[i]]
 	}
 }
 
@@ -142,14 +148,32 @@ type Agent struct {
 	steps    int // observed transitions (drives ε)
 	optSteps int // optimisation steps (drives target sync)
 
+	// The target network's Q-values of each filled replay slot's next
+	// state: the row of slot s is targetRows[s*actionDim:][:actionDim],
+	// valid while rowValid[s]. TrainStep forwards a row the first time
+	// a minibatch samples its slot after the slot was written or the
+	// target network synced. Every product computes each row on its
+	// own, so a cached row has the bits a full-batch forward would give
+	// it. The replays fill their slots in order, and the cache grows
+	// with them. It is not serialised; a restored agent recomputes it.
+	targetRows []float64
+	rowValid   []bool
+	actionDim  int
+
 	// Minibatch buffers TrainStep reuses: the sampled transitions and
-	// their prioritized-replay indices, the state and next-state
-	// matrices, the Bellman targets, the errors and the loss gradient.
-	batch         []Transition
-	prioIdxs      []int
-	states, nexts *nn.Matrix
-	targets, errs []float64
-	grad          *nn.Matrix
+	// their replay slots, the states and taken actions, the next states
+	// whose target rows are missing and their slots, the next states of
+	// the double-DQN backup, the Bellman targets, the taken actions'
+	// Q-values, the errors and the loss gradient with respect to the
+	// Q-values.
+	batch                []Transition
+	slots                []int
+	states               *nn.Matrix
+	actions              []int
+	pending              *nn.Matrix
+	pendingSlots         []int
+	nexts                *nn.Matrix
+	targets, q, errs, dq []float64
 }
 
 // NewAgent builds an agent for the given state/action dimensions. The
@@ -182,21 +206,33 @@ func NewAgentFrom(rng *detrand.RNG, net *nn.MLP, cfg Config) *Agent {
 	} else {
 		a.replay = NewReplay(c.ReplayCapacity)
 	}
-	a.allocBatch()
+	a.allocBuffers()
 	return a
 }
 
-// allocBatch allocates the minibatch buffers at the configured batch
-// size and the online network's input and output widths.
-func (a *Agent) allocBatch() {
+// allocBuffers allocates the target row cache, one row per filled
+// replay slot, and the minibatch buffers at the configured batch size
+// and the online network's input and output widths. The replay must
+// exist.
+func (a *Agent) allocBuffers() {
 	n, sizes := a.cfg.BatchSize, a.online.Sizes()
+	in := sizes[0]
+	a.actionDim = sizes[len(sizes)-1]
+	a.targetRows = make([]float64, a.replayLen()*a.actionDim)
+	a.rowValid = make([]bool, a.replayLen())
 	a.batch = make([]Transition, n)
-	a.prioIdxs = make([]int, n)
-	a.states = nn.NewMatrix(n, sizes[0])
-	a.nexts = nn.NewMatrix(n, sizes[0])
+	a.slots = make([]int, n)
+	a.states = nn.NewMatrix(n, in)
+	a.actions = make([]int, n)
+	a.pending = nn.NewMatrix(n, in)
+	a.pendingSlots = make([]int, n)
+	if a.cfg.DoubleDQN {
+		a.nexts = nn.NewMatrix(n, in)
+	}
 	a.targets = make([]float64, n)
+	a.q = make([]float64, n)
 	a.errs = make([]float64, n)
-	a.grad = nn.NewMatrix(n, sizes[len(sizes)-1])
+	a.dq = make([]float64, n)
 }
 
 // replayLen returns the number of stored transitions.
@@ -231,16 +267,7 @@ func (a *Agent) QValues(state []float64) []float64 {
 // if no action is valid — the environment always allows "stop".
 func (a *Agent) SelectAction(state []float64, mask []bool, eps float64) int {
 	if eps > 0 && a.rng.Float64() < eps {
-		var valid []int
-		for i, ok := range mask {
-			if ok {
-				valid = append(valid, i)
-			}
-		}
-		if len(valid) == 0 {
-			panic("rl: no valid action")
-		}
-		return valid[a.rng.Intn(len(valid))]
+		return a.randomValid(mask)
 	}
 	q := a.online.Predict(state)
 	best, bestQ := -1, math.Inf(-1)
@@ -255,12 +282,44 @@ func (a *Agent) SelectAction(state []float64, mask []bool, eps float64) int {
 	return best
 }
 
-// Observe stores a transition and advances the ε schedule.
+// randomValid returns a uniformly drawn valid action: the k-th valid
+// one, for a single draw k below their count.
+func (a *Agent) randomValid(mask []bool) int {
+	valid := 0
+	for _, ok := range mask {
+		if ok {
+			valid++
+		}
+	}
+	if valid == 0 {
+		panic("rl: no valid action")
+	}
+	k := a.rng.Intn(valid)
+	for i, ok := range mask {
+		if ok {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("unreachable")
+}
+
+// Observe stores a transition and advances the ε schedule. The replay
+// keeps t's slices, so the caller must not modify them afterwards.
 func (a *Agent) Observe(t Transition) {
+	var slot int
 	if a.preplay != nil {
-		a.preplay.Add(t)
+		slot = a.preplay.Add(t)
 	} else {
-		a.replay.Add(t)
+		slot = a.replay.Add(t)
+	}
+	if slot == len(a.rowValid) {
+		a.rowValid = append(a.rowValid, false)
+		a.targetRows = append(a.targetRows, make([]float64, a.actionDim)...)
+	} else {
+		a.rowValid[slot] = false
 	}
 	a.steps++
 }
@@ -277,25 +336,28 @@ func (a *Agent) TrainStep() (loss float64, stepped bool) {
 	}
 	batch := a.batch
 	if a.preplay != nil {
-		a.preplay.Sample(a.rng, batch, a.prioIdxs)
+		a.preplay.Sample(a.rng, batch, a.slots)
 	} else {
-		a.replay.Sample(a.rng, batch)
+		a.replay.Sample(a.rng, batch, a.slots)
 	}
 	for i, t := range batch {
 		copy(a.states.Row(i), t.State)
-		if t.Done {
-			clear(a.nexts.Row(i))
-		} else {
-			copy(a.nexts.Row(i), t.Next)
-		}
+		a.actions[i] = t.Action
 	}
+	a.fillTargetRows()
 
-	// Bellman targets from the target network, maximising over the next
-	// state's valid actions only. onlineNextQ aliases the online
-	// network's workspace, so it is read before the next online Forward.
-	targetQ := a.target.Forward(a.nexts)
+	// Bellman targets from the target network's rows, maximising over
+	// the next state's valid actions only. onlineNextQ aliases the
+	// online network's workspace, so it is read before ForwardAt.
 	var onlineNextQ *nn.Matrix
 	if a.cfg.DoubleDQN {
+		for i, t := range batch {
+			if t.Done {
+				clear(a.nexts.Row(i))
+			} else {
+				copy(a.nexts.Row(i), t.Next)
+			}
+		}
 		onlineNextQ = a.online.Forward(a.nexts)
 	}
 	targets := a.targets
@@ -304,6 +366,7 @@ func (a *Agent) TrainStep() (loss float64, stepped bool) {
 		if t.Done {
 			continue
 		}
+		targetQ := a.targetRow(a.slots[i])
 		if a.cfg.DoubleDQN {
 			best, bestQ := -1, math.Inf(-1)
 			row := onlineNextQ.Row(i)
@@ -313,14 +376,13 @@ func (a *Agent) TrainStep() (loss float64, stepped bool) {
 				}
 			}
 			if best >= 0 {
-				targets[i] += a.cfg.Gamma * targetQ.At(i, best)
+				targets[i] += a.cfg.Gamma * targetQ[best]
 			}
 		} else {
 			bestQ := math.Inf(-1)
-			row := targetQ.Row(i)
 			for j, ok := range t.NextMask {
-				if ok && row[j] > bestQ {
-					bestQ = row[j]
+				if ok && targetQ[j] > bestQ {
+					bestQ = targetQ[j]
 				}
 			}
 			if !math.IsInf(bestQ, -1) {
@@ -329,27 +391,59 @@ func (a *Agent) TrainStep() (loss float64, stepped bool) {
 		}
 	}
 
-	// Forward-backward on the online network; the loss gradient is
-	// non-zero only at the taken actions (Huber-clipped error).
-	q := a.online.Forward(a.states)
-	grad, errs := a.grad, a.errs
-	grad.Zero()
-	for i, t := range batch {
-		e := q.At(i, t.Action) - targets[i]
-		errs[i] = e
+	// Forward-backward on the online network through the taken actions
+	// alone: the loss reads only their Q-values, so its gradient (the
+	// Huber-clipped error) is non-zero only there.
+	a.online.ForwardAt(a.states, a.actions, a.q)
+	for i, q := range a.q {
+		e := q - targets[i]
+		a.errs[i] = e
 		loss += nn.HuberLoss(e)
-		grad.Set(i, t.Action, nn.HuberGrad(e)/float64(len(batch)))
+		a.dq[i] = nn.HuberGrad(e) / float64(len(batch))
 	}
-	a.online.ZeroGrads()
-	a.online.Backward(grad)
+	a.online.Backward(a.actions, a.dq)
 	a.opt.Step(a.online.Params())
 	if a.preplay != nil {
-		a.preplay.Update(a.prioIdxs, errs)
+		a.preplay.Update(a.slots, a.errs)
 	}
 
 	a.optSteps++
 	if a.optSteps%a.cfg.TargetSync == 0 {
 		a.target.CopyFrom(a.online)
+		clear(a.rowValid)
 	}
 	return loss / float64(len(batch)), true
+}
+
+// fillTargetRows makes the target row of every sampled non-terminal
+// transition valid, forwarding through the target network only the next
+// states whose rows are missing. A terminal transition's target is its
+// reward alone, so its row is never needed.
+func (a *Agent) fillTargetRows() {
+	p := a.pending
+	p.Rows, p.Data = len(a.batch), p.Data[:cap(p.Data)]
+	miss := 0
+	for i, t := range a.batch {
+		s := a.slots[i]
+		if t.Done || a.rowValid[s] {
+			continue
+		}
+		a.rowValid[s] = true // a slot sampled twice is forwarded once
+		copy(p.Row(miss), t.Next)
+		a.pendingSlots[miss] = s
+		miss++
+	}
+	if miss == 0 {
+		return
+	}
+	p.Rows, p.Data = miss, p.Data[:miss*p.Cols]
+	q := a.target.Forward(p)
+	for r, s := range a.pendingSlots[:miss] {
+		copy(a.targetRow(s), q.Row(r))
+	}
+}
+
+// targetRow returns the cached target-network row of replay slot s.
+func (a *Agent) targetRow(s int) []float64 {
+	return a.targetRows[s*a.actionDim:][:a.actionDim]
 }

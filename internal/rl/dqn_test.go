@@ -18,12 +18,15 @@ func TestReplayRingBuffer(t *testing.T) {
 	}
 	// The oldest transitions (0, 1) were evicted.
 	rng := detrand.New(1)
-	batch := make([]Transition, 3)
+	batch, slots := make([]Transition, 3), make([]int, 3)
 	for i := 0; i < 50; i++ {
-		r.Sample(rng, batch)
-		for _, tr := range batch {
+		r.Sample(rng, batch, slots)
+		for j, tr := range batch {
 			if tr.Reward < 2 {
 				t.Fatalf("evicted transition sampled: %g", tr.Reward)
+			}
+			if r.buf[slots[j]].Reward != tr.Reward {
+				t.Fatalf("slot %d holds reward %g, sampled %g", slots[j], r.buf[slots[j]].Reward, tr.Reward)
 			}
 		}
 	}

@@ -47,8 +47,8 @@ func NewPrioritizedReplay(capacity int, alpha float64) *PrioritizedReplay {
 func (p *PrioritizedReplay) Len() int { return p.n }
 
 // Add stores a transition with the maximum seen priority so it is
-// sampled at least once soon.
-func (p *PrioritizedReplay) Add(t Transition) {
+// sampled at least once soon, and returns the slot it wrote.
+func (p *PrioritizedReplay) Add(t Transition) int {
 	idx := p.pos
 	p.data[idx] = t
 	p.setPriority(idx, p.maxPrio)
@@ -56,6 +56,7 @@ func (p *PrioritizedReplay) Add(t Transition) {
 	if p.n < p.capacity {
 		p.n++
 	}
+	return idx
 }
 
 // setPriority writes |δ|^α into the leaf and propagates the sums up.

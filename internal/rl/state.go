@@ -134,13 +134,12 @@ func LoadAgentState(data []byte) (*Agent, error) {
 	if err := a.opt.SetState(online.Params(), sa.Adam); err != nil {
 		return nil, err
 	}
-	a.allocBatch()
 	switch {
 	case sa.PReplay != nil:
 		p := sa.PReplay
-		if p.Capacity <= 0 || len(p.Tree) != 2*p.Capacity || len(p.Data) != p.Capacity {
-			return nil, fmt.Errorf("rl: prioritized replay state inconsistent (cap %d, tree %d, data %d)",
-				p.Capacity, len(p.Tree), len(p.Data))
+		if p.Capacity <= 0 || len(p.Tree) != 2*p.Capacity || len(p.Data) != p.Capacity || !filledInOrder(p.Capacity, p.Pos, p.N) {
+			return nil, fmt.Errorf("rl: prioritized replay state inconsistent (cap %d, tree %d, data %d, pos %d, n %d)",
+				p.Capacity, len(p.Tree), len(p.Data), p.Pos, p.N)
 		}
 		a.preplay = &PrioritizedReplay{
 			capacity: p.Capacity,
@@ -153,8 +152,9 @@ func LoadAgentState(data []byte) (*Agent, error) {
 		}
 	case sa.Replay != nil:
 		r := sa.Replay
-		if r.Cap <= 0 || len(r.Buf) != r.Cap {
-			return nil, fmt.Errorf("rl: replay state inconsistent (cap %d, buf %d)", r.Cap, len(r.Buf))
+		if r.Cap <= 0 || len(r.Buf) != r.Cap || !filledInOrder(r.Cap, r.Pos, r.N) {
+			return nil, fmt.Errorf("rl: replay state inconsistent (cap %d, buf %d, pos %d, n %d)",
+				r.Cap, len(r.Buf), r.Pos, r.N)
 		}
 		a.replay = &Replay{
 			buf: append([]Transition(nil), r.Buf...),
@@ -165,5 +165,13 @@ func LoadAgentState(data []byte) (*Agent, error) {
 	default:
 		return nil, fmt.Errorf("rl: agent state has no replay buffer")
 	}
+	a.allocBuffers()
 	return a, nil
+}
+
+// filledInOrder reports whether a ring of the given capacity with write
+// position pos holds n transitions in the order Add fills it: slots
+// 0..n-1 until it is full, which the target row cache relies on.
+func filledInOrder(capacity, pos, n int) bool {
+	return pos >= 0 && pos < capacity && n >= 0 && n <= capacity && (n == capacity || pos == n)
 }

@@ -117,3 +117,35 @@ func TestLoadAgentStateRejectsBadBatchSize(t *testing.T) {
 		t.Error("agent state with batch size 0 accepted")
 	}
 }
+
+// TestLoadAgentStateRejectsBadReplayFill: a replay whose write position
+// and fill level no ring reaches by Add (a corrupt checkpoint) is an
+// error, not a restored agent that panics on its next Observe.
+func TestLoadAgentStateRejectsBadReplayFill(t *testing.T) {
+	for _, cfg := range []Config{{ReplayCapacity: 16}, {ReplayCapacity: 16, PrioritizedAlpha: 0.6}} {
+		a := NewAgent(detrand.New(11), 2, 3, cfg)
+		for i := 0; i < 5; i++ {
+			a.Observe(Transition{State: []float64{0, 0}, Next: []float64{0, 0}, NextMask: []bool{true, true, true}})
+		}
+		data, err := a.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sa savedAgent
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sa); err != nil {
+			t.Fatal(err)
+		}
+		if sa.Replay != nil {
+			sa.Replay.Pos = 9
+		} else {
+			sa.PReplay.Pos = 9
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(sa); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadAgentState(buf.Bytes()); err == nil {
+			t.Errorf("prioritized %v: replay at position 9 holding 5 transitions accepted", cfg.PrioritizedAlpha > 0)
+		}
+	}
+}
