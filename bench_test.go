@@ -141,11 +141,13 @@ func BenchmarkCoverIndex(b *testing.B) {
 		b.Fatal("No not interned")
 	}
 	withGuard := parent.WithCondition(rule.Eq(ov, no))
+	// withGuard refines the one-pair rule with its guard by adding the
+	// second LHS pair, so its parent's cover is the guard's.
 	guardCover := ev.Evaluate(rule.New(nil, p.Y, p.Ym, withGuard.Pattern), nil).PatternCover
 	b.Run("subspace", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ev.ReleaseCover(ev.Evaluate(withGuard, guardCover).PatternCover)
+			ev.ReleaseCover(ev.Evaluate(withGuard, &measure.Refinement{ParentCover: guardCover}).PatternCover)
 		}
 	})
 	b.Run("full-scan", func(b *testing.B) {

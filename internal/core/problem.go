@@ -172,13 +172,14 @@ func SelectTopK(cands []MinedRule, k int) []MinedRule {
 		if c.Measures.Utility <= 0 {
 			continue
 		}
-		scored = append(scored, rule.Scored{Rule: c.Rule, Utility: c.Measures.Utility})
-		byKey[c.Rule.Key()] = c
+		key := c.Rule.Key()
+		scored = append(scored, rule.Scored{Rule: c.Rule, Utility: c.Measures.Utility, Key: key})
+		byKey[key] = c
 	}
 	top := rule.TopKNonRedundant(scored, k)
 	out := make([]MinedRule, len(top))
 	for i, s := range top {
-		out[i] = byKey[s.Rule.Key()]
+		out[i] = byKey[s.Key]
 	}
 	return out
 }

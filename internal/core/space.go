@@ -84,6 +84,16 @@ func (s *Space) NumLHS() int { return len(s.LHSPairs) }
 // Unit returns the pattern unit of dimension i (i ≥ NumLHS()).
 func (s *Space) Unit(i int) PatternUnit { return s.Units[i-len(s.LHSPairs)] }
 
+// Added returns the pattern condition that refining a rule on dimension
+// d adds to it, or nil when d adds an LHS pair. Miners hand it to the
+// evaluator as the child's measure.Refinement.
+func (s *Space) Added(d int) *rule.Condition {
+	if d < len(s.LHSPairs) {
+		return nil
+	}
+	return &s.Units[d-len(s.LHSPairs)].Cond
+}
+
 // UnitDims returns the dimensions of the pattern units on attribute a.
 func (s *Space) UnitDims(a int) []int { return s.unitsByAttr[a] }
 

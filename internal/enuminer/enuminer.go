@@ -15,7 +15,8 @@
 //   - canonical ordered extension: each candidate rule is generated
 //     exactly once (the role the paper's hash table plays);
 //   - cover-index subspace search: children are evaluated only over the
-//     parent's pattern cover (Alg. 4 lines 9–10).
+//     parent's pattern cover (Alg. 4 lines 9–10), where only the one
+//     condition the refinement adds is tested.
 //
 // The walk runs either serially or as a level-synchronized parallel
 // frontier expansion: each BFS level's (node, dim) refinements fan out
@@ -131,7 +132,7 @@ func (m *Miner) mineSerial(p *core.Problem, space *core.Space, ev *measure.Evalu
 				break
 			}
 			explored++
-			ms := ev.Evaluate(child.r, n.cover)
+			ms := ev.Evaluate(child.r, &measure.Refinement{ParentCover: n.cover, Added: space.Added(d)})
 			child.cover = ms.PatternCover
 
 			if len(child.r.LHS) == 0 {
@@ -163,11 +164,11 @@ func (m *Miner) mineSerial(p *core.Problem, space *core.Space, ev *measure.Evalu
 	return found, explored
 }
 
-// task is one (parent, child) refinement of a BFS level awaiting
-// evaluation.
+// task is one refinement of a BFS level awaiting evaluation: the child
+// and how it was made from its parent.
 type task struct {
-	parent *node
-	child  *node
+	child *node
+	from  measure.Refinement
 }
 
 // mineParallel is the level-synchronized frontier expansion. The BFS
@@ -209,7 +210,10 @@ func (m *Miner) mineParallel(p *core.Problem, space *core.Space, ev *measure.Eva
 					break
 				}
 				explored++
-				tasks = append(tasks, task{parent: n, child: child})
+				tasks = append(tasks, task{
+					child: child,
+					from:  measure.Refinement{ParentCover: n.cover, Added: space.Added(d)},
+				})
 			}
 			if capped {
 				break
@@ -230,7 +234,7 @@ func (m *Miner) mineParallel(p *core.Problem, space *core.Space, ev *measure.Eva
 					if i >= len(tasks) {
 						return
 					}
-					results[i] = shard.Evaluate(tasks[i].child.r, tasks[i].parent.cover)
+					results[i] = shard.Evaluate(tasks[i].child.r, &tasks[i].from)
 				}
 			}(shard)
 		}

@@ -372,9 +372,10 @@ func (e *Env) growChild(parent *node, action int) float64 {
 	parent.children++
 
 	cm, cached := e.rewardCache[key]
+	from := &measure.Refinement{ParentCover: parent.cover, Added: e.space.Added(action)}
 	var cover []int32
 	if !cached || e.cfg.DisableRewardCache {
-		ms := e.ev.Evaluate(childRule, parent.cover)
+		ms := e.ev.Evaluate(childRule, from)
 		cover = ms.PatternCover
 		cm = cachedMeasures{
 			support:   ms.Support,
@@ -425,7 +426,7 @@ func (e *Env) growChild(parent *node, action int) float64 {
 	refinable := false
 	if len(childRule.LHS) == 0 {
 		if cover == nil {
-			cover = e.ev.PatternCover(childRule, parent.cover)
+			cover = e.ev.PatternCover(childRule, from)
 		}
 		refinable = len(cover) >= e.problem.SupportThreshold
 	} else if valid && cm.certainty < 1 {
@@ -433,7 +434,7 @@ func (e *Env) growChild(parent *node, action int) float64 {
 	}
 	if refinable {
 		if cover == nil {
-			cover = e.ev.PatternCover(childRule, parent.cover)
+			cover = e.ev.PatternCover(childRule, from)
 		}
 		child.cover = cover
 		e.queue = append(e.queue, child)

@@ -54,9 +54,37 @@ func fig1DiffRules(t *testing.T, input *relation.Relation) []*rule.Rule {
 	return rules
 }
 
+// parentOf undoes the last refinement of r: it returns the rule
+// without r's last pattern condition and that condition, or, for a
+// rule with an empty pattern, the rule without its last LHS pair and a
+// nil condition. ok is false for the empty rule.
+func parentOf(r *rule.Rule) (parent *rule.Rule, added *rule.Condition, ok bool) {
+	if n := len(r.Pattern); n > 0 {
+		return rule.New(r.LHS, r.Y, r.Ym, r.Pattern[:n-1]), &r.Pattern[n-1], true
+	}
+	if n := len(r.LHS); n > 0 {
+		return rule.New(r.LHS[:n-1], r.Y, r.Ym, nil), nil, true
+	}
+	return nil, nil, false
+}
+
+// everyOther returns the rows at even positions of rows: a parent cover
+// with holes, as a cover restricted further up the lattice would be.
+func everyOther(rows []int32) []int32 {
+	out := make([]int32, 0, len(rows))
+	for i, row := range rows {
+		if i%2 == 0 {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
 // assertSameEval pins the engine to the oracle on one rule: full-scan
-// Evaluate, PatternCover, a parent-cover-restricted Evaluate and per-row
-// Candidates must be bit-identical.
+// Evaluate, PatternCover, Evaluate and PatternCover as a child over a
+// parent cover with holes, and per-row Candidates must be
+// bit-identical. The engine is told the refinement that made the
+// child; the oracle tests every condition on every parent row.
 func assertSameEval(t *testing.T, col *Evaluator, o *oracle, r *rule.Rule, tag string) {
 	t.Helper()
 	want := o.Evaluate(r, nil)
@@ -67,17 +95,17 @@ func assertSameEval(t *testing.T, col *Evaluator, o *oracle, r *rule.Rule, tag s
 	if pc := col.PatternCover(r, nil); !reflect.DeepEqual(pc, want.PatternCover) {
 		t.Fatalf("%s: PatternCover(nil) = %v, want %v", tag, pc, want.PatternCover)
 	}
-	// Restrict to a parent cover with holes: every other covered row.
-	parent := make([]int32, 0, len(want.PatternCover))
-	for i, row := range want.PatternCover {
-		if i%2 == 0 {
-			parent = append(parent, row)
+	if parent, added, ok := parentOf(r); ok {
+		holes := everyOther(o.PatternCover(parent, nil))
+		from := &Refinement{ParentCover: holes, Added: added}
+		want2 := o.Evaluate(r, holes)
+		got2 := col.Evaluate(r, from)
+		if !reflect.DeepEqual(want2, got2) {
+			t.Fatalf("%s: Evaluate(child) diverged:\noracle   %+v\ncolumnar %+v", tag, want2, got2)
 		}
-	}
-	want2 := o.Evaluate(r, parent)
-	got2 := col.Evaluate(r, parent)
-	if !reflect.DeepEqual(want2, got2) {
-		t.Fatalf("%s: Evaluate(parent) diverged:\noracle   %+v\ncolumnar %+v", tag, want2, got2)
+		if pc := col.PatternCover(r, from); !reflect.DeepEqual(pc, want2.PatternCover) {
+			t.Fatalf("%s: PatternCover(child) = %v, want %v", tag, pc, want2.PatternCover)
+		}
 	}
 	for row := 0; row < col.Input().NumRows(); row++ {
 		hw, okw := o.Candidates(r, row)
@@ -178,17 +206,19 @@ func TestReleaseCoverReuse(t *testing.T) {
 // TestEvaluateZeroAlloc is the allocation gate of the columnar hot
 // path: with warmed caches and the cover buffer recycled, Evaluate,
 // PatternCover and CoveredCandidates must not allocate. The mining
-// shapes run a child rule over its parent's cover (filterCover) and
-// patterns that reach every posting kernel: two conditions
-// (intersectInto), a condition with several codes (mergeInto) and a
-// negated one (subtractInto). A two-pair LHS with an empty pattern runs
-// through a borrowed index cache and columnar store: the evaluator
-// Problem.NewEvaluator builds, and the shape BenchmarkEvaluate
-// measures. The closing sweep drives the repair-request shape (cover
-// intersection, then one candidate lookup per covered row) over every
-// synthetic rule — mixed LHS widths and guard patterns.
-// scripts/check.sh runs this test without -race; keep it green or the
-// build gate fails.
+// shapes run each child rule both over the whole relation and over its
+// parent's cover through its refinement, with patterns that reach
+// every path of the condition kernel: two conditions (one posting list
+// filtered by the other equality; the equality alone as the child's
+// test), a condition with several codes and a negated one (the code
+// mask), and an added LHS pair (the parent cover copied). A two-pair
+// LHS with an empty pattern runs through a borrowed index cache and
+// columnar store: the evaluator Problem.NewEvaluator builds, and the
+// shape BenchmarkEvaluate measures. The closing sweep drives the
+// repair-request shape (whole-relation cover, then one candidate
+// lookup per covered row) over every synthetic rule — mixed LHS widths
+// and guard patterns. scripts/check.sh runs this test without -race;
+// keep it green or the build gate fails.
 func TestEvaluateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -218,33 +248,44 @@ func TestEvaluateZeroAlloc(t *testing.T) {
 		}
 	}
 	base := rule.New([]rule.AttrPair{{Input: 0, Master: 0}}, 3, 2, nil)
-	parent := base.WithCondition(rule.Eq(2, input.DomainCodes(2)[0]))
-	child := parent.WithCondition(rule.Eq(1, input.DomainCodes(1)[0]))
+	baseCover := ev.PatternCover(base, nil)
+	eqG := rule.Eq(2, input.DomainCodes(2)[0])
+	parent := base.WithCondition(eqG)
 	parentCover := ev.PatternCover(parent, nil)
+	eqB := rule.Eq(1, input.DomainCodes(1)[0])
+	several := rule.NewCondition(1, input.DomainCodes(1)[:3], "")
+	negated := rule.NotEq(2, input.DomainCodes(2)[1])
 	// The evaluator Problem.NewEvaluator builds once the problem shares
 	// its indexes, running BenchmarkEvaluate's rule shape.
 	shared := NewSharedEvaluator(input, master, nil, NewIndexCache())
 	shared.ShareColumns(NewColumnIndex(input))
 	for _, tc := range []struct {
-		name   string
-		ev     *Evaluator
-		r      *rule.Rule
-		parent []int32
+		name string
+		ev   *Evaluator
+		r    *rule.Rule
+		from *Refinement
 	}{
-		{"child over parent cover", ev, child, parentCover},
-		{"two conditions", ev, child, nil},
-		{"several codes", ev, base.WithCondition(rule.NewCondition(1, input.DomainCodes(1)[:3], "")), nil},
-		{"negated", ev, base.WithCondition(rule.NotEq(2, input.DomainCodes(2)[1])), nil},
+		{"two conditions", ev, parent.WithCondition(eqB), &Refinement{ParentCover: parentCover, Added: &eqB}},
+		{"several codes", ev, base.WithCondition(several), &Refinement{ParentCover: baseCover, Added: &several}},
+		{"negated", ev, base.WithCondition(negated), &Refinement{ParentCover: baseCover, Added: &negated}},
+		{"added LHS pair", ev, parent.WithLHS(1, 1), &Refinement{ParentCover: parentCover}},
 		{"two-pair LHS, shared cache and columns", shared,
 			rule.New([]rule.AttrPair{{Input: 0, Master: 0}, {Input: 1, Master: 1}}, 3, 2, nil), nil},
 	} {
-		for i := 0; i < 3; i++ {
-			tc.ev.ReleaseCover(tc.ev.Evaluate(tc.r, tc.parent).PatternCover)
+		froms := []*Refinement{nil}
+		if tc.from != nil {
+			froms = append(froms, tc.from) // the child over its parent's cover
 		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			tc.ev.ReleaseCover(tc.ev.Evaluate(tc.r, tc.parent).PatternCover)
-		}); allocs != 0 {
-			t.Errorf("%s: Evaluate allocates %.1f/op on a warmed cache, want 0", tc.name, allocs)
+		for _, from := range froms {
+			for i := 0; i < 3; i++ {
+				tc.ev.ReleaseCover(tc.ev.Evaluate(tc.r, from).PatternCover)
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				tc.ev.ReleaseCover(tc.ev.Evaluate(tc.r, from).PatternCover)
+			}); allocs != 0 {
+				t.Errorf("%s (refinement %v): Evaluate allocates %.1f/op on a warmed cache, want 0",
+					tc.name, from != nil, allocs)
+			}
 		}
 	}
 	r := rules[len(rules)-1]

@@ -8,7 +8,8 @@
 //     so Certainty is computed per X-key group rather than per tuple);
 //   - cover-based subspace search (Alg. 4 lines 9–10): a child rule is
 //     evaluated only over the input tuples covered by its parent's
-//     pattern;
+//     pattern, and there only its one new condition is tested
+//     (Refinement);
 //   - a parallel evaluation layer: the index cache is a thread-safe,
 //     build-once structure (IndexCache) that N evaluator shards borrow
 //     (Shard), with bit-identical results to a serial run.
@@ -37,6 +38,23 @@ type Measures struct {
 	// cover the rule was evaluated on). It is the cover handed to child
 	// rules for subspace search.
 	PatternCover []int32
+}
+
+// Refinement is the one step that made a child rule from its parent in
+// the refinement lattice both miners walk (PAPER §IV): the child adds
+// one LHS pair or one pattern condition. The caller that built the
+// child names the step, and evaluation then tests only what it added:
+// an LHS-only child's pattern cover is its parent's, and a pattern
+// child's is the parent's cover filtered by the new condition alone
+// (DESIGN.md decision 27).
+type Refinement struct {
+	// ParentCover is the parent's pattern cover as its own evaluation
+	// returned it (ascending in practice); the child's cover keeps its
+	// order.
+	ParentCover []int32
+	// Added is the pattern condition the child adds; nil when the child
+	// adds an LHS pair instead.
+	Added *rule.Condition
 }
 
 // Hist is the Y_m-value histogram of one X_m-key group of the master data,
@@ -99,8 +117,9 @@ type masterIndex map[string]*Hist
 // It caches master indexes keyed by the master attribute list, which is
 // what makes repeated evaluation across thousands of candidate rules
 // tractable (DESIGN.md decision 2). Rules are evaluated on the columnar
-// engine — posting-list cover intersections plus dense group-id
-// projections (posting.go, groups.go; DESIGN.md decision 16) — which
+// engine — posting lists filtered through one condition kernel plus
+// dense group-id projections (posting.go, mask.go, groups.go; DESIGN.md
+// decisions 16 and 27) — which
 // the differential and fuzz suites pin bit for bit against a
 // row-at-a-time oracle kept in the tests (DESIGN.md decision 23).
 //
@@ -147,13 +166,9 @@ type Evaluator struct {
 	// ReleaseCover; getCover pops from it so steady-state evaluation is
 	// allocation-free. Owned by the evaluator's goroutine.
 	coverFree [][]int32
-	// condScratch, condLists and condOrder are the per-condition scratch
-	// of columnar cover intersection, reused across calls.
-	condScratch []condBufs
-	condLists   [][]int32
-	condOrder   []int
-	// isectA/isectB are the ping-pong buffers of the intersection chain.
-	isectA, isectB []int32
+	// mask is the reused membership mask of the condition kernel
+	// (mask.go); it is all false between calls.
+	mask []bool
 
 	// Deprecated: has no effect; nothing reads it. It stays only
 	// because bench/replay.go still assigns it.
@@ -172,7 +187,7 @@ type Stats struct {
 	// TuplesScanned is the total number of logical input tuples an
 	// evaluation covers: NumRows for a full-relation evaluation, the
 	// parent cover size for a cover-restricted one. It counts logical
-	// rows, not rows touched: posting-list intersections read fewer, so
+	// rows, not rows touched: posting lists and refinements read fewer, so
 	// the figure depends only on the data shape and the rules evaluated.
 	TuplesScanned int
 }
@@ -324,9 +339,12 @@ func (e *Evaluator) CoveredCandidates(r *rule.Rule, row int) (*Hist, bool) {
 	return gp.hists[gid], true
 }
 
-// Evaluate computes the rule's measures over the given parent cover
-// (nil means the whole input relation). The returned PatternCover is the
-// subset of the parent cover matching the rule's full pattern.
+// Evaluate computes the rule's measures over the input tuples matching
+// its pattern: the whole input relation when from is nil, otherwise the
+// parent cover of the refinement that made r. The returned PatternCover
+// is the subset of that cover matching the rule's full pattern, which
+// the refinement lets the engine compute by testing its one added
+// condition.
 //
 // A rule with an empty LHS has, by definition, no join with the master
 // data and is assigned zero support and utility; its pattern cover is
@@ -335,16 +353,16 @@ func (e *Evaluator) CoveredCandidates(r *rule.Rule, row int) (*Hist, bool) {
 // The returned cover may come from the evaluator's buffer freelist:
 // callers that are done with it can hand it back via ReleaseCover to
 // keep steady-state evaluation allocation-free.
-func (e *Evaluator) Evaluate(r *rule.Rule, parentCover []int32) Measures {
+func (e *Evaluator) Evaluate(r *rule.Rule, from *Refinement) Measures {
 	e.Stats.Evaluations++
 
 	var cover []int32
-	if parentCover == nil {
+	if from == nil {
 		cover = e.columnarFullCover(r)
 		e.Stats.TuplesScanned += e.input.NumRows()
 	} else {
-		cover = e.filterCover(r, parentCover)
-		e.Stats.TuplesScanned += len(parentCover)
+		cover = e.childCover(from)
+		e.Stats.TuplesScanned += len(from.ParentCover)
 	}
 
 	m := Measures{PatternCover: cover}
@@ -379,16 +397,17 @@ func (e *Evaluator) Evaluate(r *rule.Rule, parentCover []int32) Measures {
 	return m
 }
 
-// PatternCover filters the parent cover (nil = all input rows) down to
-// the rows matching the rule's pattern, without evaluating measures. The
-// MDP environment uses it to rebuild a node's cover cheaply when the
-// rule's measures come from the reward cache R_Σ. Like Evaluate's cover,
-// the result may be handed back through ReleaseCover.
-func (e *Evaluator) PatternCover(r *rule.Rule, parentCover []int32) []int32 {
-	if parentCover == nil {
+// PatternCover returns the rows matching the rule's pattern, of the
+// whole input when from is nil or of the refinement's parent cover,
+// without evaluating measures. The MDP environment uses it to rebuild a
+// node's cover cheaply when the rule's measures come from the reward
+// cache R_Σ. Like Evaluate's cover, the result may be handed back
+// through ReleaseCover.
+func (e *Evaluator) PatternCover(r *rule.Rule, from *Refinement) []int32 {
+	if from == nil {
 		return e.columnarFullCover(r)
 	}
-	return e.filterCover(r, parentCover)
+	return e.childCover(from)
 }
 
 // getCover pops a cover buffer of at least the given capacity from the
@@ -421,83 +440,56 @@ func (e *Evaluator) ReleaseCover(c []int32) {
 	e.coverFree = append(e.coverFree, c[:0])
 }
 
-// filterCover restricts a non-nil parent cover to the rows matching the
-// rule's pattern. The parent cover is caller-ordered (in practice
-// ascending), so the engine keeps the row loop here — posting
-// intersections apply only to full-relation scans — and the output
-// keeps the parent cover's order exactly.
-func (e *Evaluator) filterCover(r *rule.Rule, parentCover []int32) []int32 {
-	in := e.input
-	out := e.getCover(len(parentCover))
-	for _, row := range parentCover {
-		if r.MatchesPattern(in, int(row)) {
-			out = append(out, row)
-		}
+// childCover computes a refined child's pattern cover from its
+// parent's: a copy of it when the child adds an LHS pair, and otherwise
+// the parent rows that satisfy the added condition. The parent rows
+// already satisfy every other condition of the child, so the result
+// holds exactly the rows a test of the child's whole pattern keeps, in
+// the parent cover's order.
+func (e *Evaluator) childCover(from *Refinement) []int32 {
+	out := e.getCover(len(from.ParentCover))
+	if from.Added == nil {
+		return append(out, from.ParentCover...)
 	}
-	return out
+	return e.filterRows(out, from.ParentCover, *from.Added)
 }
 
-// columnarFullCover computes the whole-relation pattern cover as a
-// k-way intersection of per-condition posting lists, smallest list
-// first. The output is ascending row ids — bit-identical to a
-// row-by-row MatchesPattern scan of the relation.
+// columnarFullCover computes the whole-relation pattern cover: the
+// shortest posting list among the pattern's single-code equalities (all
+// rows when it has none), filtered by each other condition through the
+// condition kernel, in place after the first pass. The output is
+// ascending row ids — bit-identical to a row-by-row MatchesPattern scan
+// of the relation.
 func (e *Evaluator) columnarFullCover(r *rule.Rule) []int32 {
-	if len(r.Pattern) == 0 {
-		all := e.columns.allRows()
-		out := e.getCover(len(all))
-		return append(out, all...)
-	}
-
-	// Grow the per-condition scratch without losing accumulated buffer
-	// capacity, then resolve each condition to its ascending row list.
-	for len(e.condScratch) < len(r.Pattern) {
-		e.condScratch = append(e.condScratch, condBufs{})
-	}
-	lists := e.condLists[:0]
-	for i := range r.Pattern {
-		cond := r.Pattern[i]
-		rows := condRows(e.columns.postings(cond.Attr), cond, &e.condScratch[i])
-		if len(rows) == 0 {
-			e.condLists = lists
-			return e.getCover(0)
+	first := -1
+	var rows []int32
+	for i, c := range r.Pattern {
+		if c.Negate || len(c.Codes) != 1 {
+			continue
 		}
-		lists = append(lists, rows)
-	}
-	e.condLists = lists
-
-	// Intersect smallest-first for the tightest intermediate results.
-	// The order is chosen by (length, position) with an insertion sort —
-	// deterministic and allocation-free for the short condition lists
-	// rules carry.
-	order := e.condOrder[:0]
-	for i := range lists {
-		order = append(order, i)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if len(lists[a]) < len(lists[b]) || (len(lists[a]) == len(lists[b]) && a < b) {
-				break
-			}
-			order[j-1], order[j] = b, a
+		if list := e.columns.postings(c.Attr).rows[c.Codes[0]]; first < 0 || len(list) < len(rows) {
+			first, rows = i, list
 		}
 	}
-	e.condOrder = order
-
-	acc := lists[order[0]]
-	useA := true
-	for k := 1; k < len(order) && len(acc) > 0; k++ {
-		if useA {
-			e.isectA = intersectInto(e.isectA[:0], acc, lists[order[k]])
-			acc = e.isectA
+	if first < 0 {
+		rows = e.columns.allRows()
+	}
+	out := e.getCover(len(rows))
+	filtered := false
+	for i, c := range r.Pattern {
+		if i == first {
+			continue
+		}
+		if filtered {
+			out = e.filterRows(out[:0], out, c)
 		} else {
-			e.isectB = intersectInto(e.isectB[:0], acc, lists[order[k]])
-			acc = e.isectB
+			out, filtered = e.filterRows(out, rows, c), true
 		}
-		useA = !useA
 	}
-	out := e.getCover(len(acc))
-	return append(out, acc...)
+	if !filtered {
+		out = append(out, rows...)
+	}
+	return out
 }
 
 // ruleProjection returns the rule's group projection, memoised on rule

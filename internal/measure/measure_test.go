@@ -218,10 +218,11 @@ func TestCoverSubspaceEquivalence(t *testing.T) {
 		[]rule.Condition{rule.Eq(iCity, code(t, input, iCity, "HZ"))},
 	)
 	pm := ev.Evaluate(parent, nil)
-	child := parent.WithCondition(rule.Eq(iOverseas, code(t, input, iOverseas, "No")))
+	no := rule.Eq(iOverseas, code(t, input, iOverseas, "No"))
+	child := parent.WithCondition(no)
 
 	full := ev.Evaluate(child, nil)
-	sub := ev.Evaluate(child, pm.PatternCover)
+	sub := ev.Evaluate(child, &Refinement{ParentCover: pm.PatternCover, Added: &no})
 	if full.Support != sub.Support || full.Certainty != sub.Certainty ||
 		full.Quality != sub.Quality || full.Utility != sub.Utility {
 		t.Errorf("subspace evaluation differs: full=%+v sub=%+v", full, sub)

@@ -10,9 +10,11 @@ import (
 // oracle is the row-at-a-time reference implementation of the paper's
 // measures that the columnar engine replaced: a MatchesPattern scan for
 // the cover, then per covered row a string key of t[X] probed in the
-// master index, accumulated in row order. The differential, delta and
-// fuzz suites pin Evaluator against it bit for bit (DESIGN.md decision
-// 23).
+// master index, accumulated in row order. Given a parent cover it tests
+// every condition of the rule on every parent row, where the engine is
+// told the refinement and tests only the condition it adds. The
+// differential, delta and fuzz suites pin Evaluator against it bit for
+// bit (DESIGN.md decisions 23 and 27).
 //
 // It shares only buildIndex, appendLHSKey and Utility with the engine.
 // Its master indexes live in a private map, so no IndexCache entry,
@@ -61,7 +63,7 @@ func (o *oracle) truthCode(r *rule.Rule, row int) int32 {
 }
 
 // PatternCover filters the parent cover (nil = all input rows) down to
-// the rows matching the rule's pattern, keeping their order.
+// the rows matching the rule's whole pattern, keeping their order.
 func (o *oracle) PatternCover(r *rule.Rule, parentCover []int32) []int32 {
 	if parentCover == nil {
 		n := o.input.NumRows()

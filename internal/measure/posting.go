@@ -2,10 +2,10 @@
 // decision 16). For each input attribute the ColumnIndex materialises,
 // lazily and at most once, the posting list of every value code: the
 // ascending row ids holding that code. A rule's pattern cover then
-// reduces to a k-way intersection of sorted int32 lists instead of a
-// MatchesPattern loop over every tuple, and the per-rule group
-// projection (groups.go) turns the Evaluate inner loop into two array
-// loads.
+// starts from the shortest posting list of its equality conditions
+// instead of a MatchesPattern loop over every tuple, and the per-rule
+// group projection (groups.go) turns the Evaluate inner loop into two
+// array loads.
 
 package measure
 
@@ -14,16 +14,13 @@ import (
 	"sync/atomic"
 
 	"erminer/internal/relation"
-	"erminer/internal/rule"
 )
 
 // attrPostings holds the posting lists of one input attribute: rows maps
-// each value code to the ascending row ids carrying it, and nonNull is
-// the ascending list of all rows with a non-Null value (the universe a
-// negated condition subtracts from). Immutable once built.
+// each value code to the ascending row ids carrying it. Immutable once
+// built.
 type attrPostings struct {
-	rows    map[int32][]int32
-	nonNull []int32
+	rows map[int32][]int32
 }
 
 func buildAttrPostings(rel *relation.Relation, attr int) *attrPostings {
@@ -34,7 +31,6 @@ func buildAttrPostings(rel *relation.Relation, attr int) *attrPostings {
 			continue
 		}
 		p.rows[c] = append(p.rows[c], int32(row))
-		p.nonNull = append(p.nonNull, int32(row))
 	}
 	return p
 }
@@ -190,7 +186,6 @@ func spliceAppends(p *attrPostings, rel *relation.Relation, attr, oldRows, appen
 			continue
 		}
 		p.rows[c] = append(p.rows[c], int32(row))
-		p.nonNull = append(p.nonNull, int32(row))
 	}
 }
 
@@ -353,152 +348,4 @@ func (ci *ColumnIndex) dropTornGroup(key []byte, e *groupEntry) {
 		delete(ci.groups, string(key))
 	}
 	ci.mu.Unlock()
-}
-
-// mergeInto appends the ascending union of a and b (both ascending,
-// mutually disjoint or not) to dst and returns it.
-func mergeInto(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case b[j] < a[i]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// subtractInto appends base minus sub (both ascending) to dst and
-// returns it.
-func subtractInto(dst, base, sub []int32) []int32 {
-	j := 0
-	for _, v := range base {
-		for j < len(sub) && sub[j] < v {
-			j++
-		}
-		if j < len(sub) && sub[j] == v {
-			continue
-		}
-		dst = append(dst, v)
-	}
-	return dst
-}
-
-// intersectInto appends the ascending intersection of a and b to dst
-// and returns it. When the lengths are lopsided it gallops through the
-// longer list with a doubling probe instead of stepping linearly.
-func intersectInto(dst, a, b []int32) []int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return dst
-	}
-	if len(b) >= 8*len(a) {
-		// Galloping: binary-search each element of the short list in the
-		// remaining suffix of the long one.
-		lo := 0
-		for _, v := range a {
-			step := 1
-			hi := lo
-			for hi < len(b) && b[hi] < v {
-				lo = hi + 1
-				hi += step
-				step *= 2
-			}
-			if hi > len(b) {
-				hi = len(b)
-			}
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if b[mid] < v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(b) && b[lo] == v {
-				dst = append(dst, v)
-				lo++
-			}
-			if lo >= len(b) {
-				break
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// condBufs are the per-condition scratch buffers of a columnar cover
-// computation: two ping-pong slots for the code-set union and one for
-// the negation difference. They live on the evaluator and are reused
-// across Evaluate calls, keeping the steady state allocation-free.
-type condBufs struct {
-	a, b, diff []int32
-}
-
-// condRows computes the ascending row ids satisfying cond. The result
-// may alias the attribute's posting lists or the scratch buffers, so
-// callers must copy it before retaining it.
-func condRows(p *attrPostings, cond rule.Condition, bufs *condBufs) []int32 {
-	if !cond.Negate && len(cond.Codes) == 1 {
-		return p.rows[cond.Codes[0]]
-	}
-	// Union of the code set's posting lists via iterative pairwise merge
-	// into the ping-pong buffers. The lists are disjoint (each row holds
-	// one code) but interleave arbitrarily.
-	var acc []int32
-	useA := true
-	for _, code := range cond.Codes {
-		rows := p.rows[code]
-		if len(rows) == 0 {
-			continue
-		}
-		if acc == nil {
-			acc = rows
-			continue
-		}
-		var dst []int32
-		if useA {
-			dst = mergeInto(bufs.a[:0], acc, rows)
-			bufs.a = dst
-		} else {
-			dst = mergeInto(bufs.b[:0], acc, rows)
-			bufs.b = dst
-		}
-		acc = dst
-		useA = !useA
-	}
-	if !cond.Negate {
-		return acc
-	}
-	if acc == nil {
-		return p.nonNull
-	}
-	bufs.diff = subtractInto(bufs.diff[:0], p.nonNull, acc)
-	return bufs.diff
 }

@@ -16,6 +16,9 @@ type MLP struct {
 	dense  []*Dense
 	relu   []*ReLU // relu[i] follows dense[i]; the output layer is linear
 	params []*Param
+	// in is Predict's input header. The first layer keeps its input,
+	// so a header made per call would escape to the heap.
+	in Matrix
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g.
@@ -56,8 +59,8 @@ func (m *MLP) Forward(x *Matrix) *Matrix {
 // Predict runs a single input vector and returns the output vector,
 // which aliases the network's workspace like Forward's result.
 func (m *MLP) Predict(v []float64) []float64 {
-	out := m.Forward(FromRow(v))
-	return out.Row(0)
+	m.in = Matrix{Rows: 1, Cols: len(v), Data: v}
+	return m.Forward(&m.in).Row(0)
 }
 
 // ForwardAt runs a batch through the network but computes, of each row

@@ -52,10 +52,10 @@ var scratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 // all-or-nothing should discard the partial result).
 //
 // Each rule is applied over its pattern cover — computed by the
-// evaluator's columnar engine as a posting-list intersection — rather
-// than by re-testing the pattern against every tuple, and candidate
-// lookups go through the dense group-id projection
-// (Evaluator.CoveredCandidates). The covered rows come back in
+// evaluator's columnar engine from a posting list filtered through the
+// condition kernel — rather than by re-testing the pattern against
+// every tuple, and candidate lookups go through the dense group-id
+// projection (Evaluator.CoveredCandidates). The covered rows come back in
 // ascending row order, exactly the order the former full scan visited
 // them, so the floating-point accumulation is bit-identical.
 func ApplyContext(ctx context.Context, ev *measure.Evaluator, rules []*rule.Rule) (Result, error) {
@@ -110,7 +110,7 @@ func ApplyContext(ctx context.Context, ev *measure.Evaluator, rules []*rule.Rule
 }
 
 // applyRule accumulates one rule's candidate fixes into the per-row
-// score maps: the rule's pattern cover (a posting-list intersection),
+// score maps: the rule's pattern cover (a filtered posting list),
 // one group-projection candidate lookup per covered row, and the
 // certainty-weighted vote merge. It is the steady-state inner loop of a
 // repair request, so it anchors the allocation budget on the repair

@@ -74,3 +74,24 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 		t.Errorf("SelectAction(ε = 1) allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestSelectActionZeroAlloc is the greedy action selection's allocation
+// gate: at ε = 0 on a warm bench-shape agent, SelectAction runs the
+// online network's forward pass on reused workspaces and allocates
+// nothing. Every greedy training step and every inference step takes
+// this path. scripts/check.sh runs it without -race.
+func TestSelectActionZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	a := warmAgent(Config{})
+	state, mask := make([]float64, goldenStateDim), make([]bool, goldenActionDim)
+	for j := range mask {
+		state[j%goldenStateDim] = float64(j % 2)
+		mask[j] = j%3 != 0
+	}
+	a.SelectAction(state, mask, 0)
+	if allocs := testing.AllocsPerRun(100, func() { a.SelectAction(state, mask, 0) }); allocs != 0 {
+		t.Errorf("SelectAction(ε = 0) allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -77,15 +77,24 @@ func Dominates(r1, r2 *Rule) bool {
 type Scored struct {
 	Rule    *Rule
 	Utility float64
+	// Key is Rule.Key(), built once per candidate; TopKNonRedundant
+	// builds it when it is empty.
+	Key string
 }
 
 // TopKNonRedundant selects up to k rules with the highest utility such that
 // no selected rule dominates another (Definition 4 + Problem 1). Rules are
 // considered in descending utility; a candidate is skipped if it dominates
 // or is dominated by an already-selected rule. Ties break on the canonical
-// key to keep the selection deterministic.
+// key to keep the selection deterministic. The selected entries carry
+// their keys.
 func TopKNonRedundant(cands []Scored, k int) []Scored {
 	sorted := append([]Scored(nil), cands...)
+	for i := range sorted {
+		if sorted[i].Key == "" {
+			sorted[i].Key = sorted[i].Rule.Key()
+		}
+	}
 	sortScored(sorted)
 	var out []Scored
 	for _, c := range sorted {
@@ -111,6 +120,6 @@ func sortScored(s []Scored) {
 		if s[i].Utility != s[j].Utility {
 			return s[i].Utility > s[j].Utility
 		}
-		return s[i].Rule.Key() < s[j].Rule.Key()
+		return s[i].Key < s[j].Key
 	})
 }

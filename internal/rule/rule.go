@@ -14,6 +14,7 @@ package rule
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -232,29 +233,40 @@ func (r *Rule) HasPatternAttr(a int) bool {
 
 // Key returns a canonical string key identifying the rule. Two rules have
 // equal keys iff they have the same LHS, dependent pair and pattern
-// (labels excluded).
+// (labels excluded). Keys order top-K ties and key maps, so their bytes
+// are fixed: "Y<y>:<ym>|L(<in>,<m>)…|P(<attr>:<code>,…)…", with "(!"
+// opening a negated condition.
 func (r *Rule) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Y%d:%d|L", r.Y, r.Ym)
+	var arr [64]byte
+	b := append(arr[:0], 'Y')
+	b = strconv.AppendInt(b, int64(r.Y), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(r.Ym), 10)
+	b = append(b, "|L"...)
 	for _, p := range r.LHS {
-		fmt.Fprintf(&b, "(%d,%d)", p.Input, p.Master)
+		b = append(b, '(')
+		b = strconv.AppendInt(b, int64(p.Input), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.Master), 10)
+		b = append(b, ')')
 	}
-	b.WriteString("|P")
+	b = append(b, "|P"...)
 	for _, c := range r.Pattern {
+		b = append(b, '(')
 		if c.Negate {
-			fmt.Fprintf(&b, "(!%d:", c.Attr)
-		} else {
-			fmt.Fprintf(&b, "(%d:", c.Attr)
+			b = append(b, '!')
 		}
+		b = strconv.AppendInt(b, int64(c.Attr), 10)
+		b = append(b, ':')
 		for i, code := range c.Codes {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", code)
+			b = strconv.AppendInt(b, int64(code), 10)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
-	return b.String()
+	return string(b)
 }
 
 // MatchesPattern reports whether input tuple row of rel matches t_p.

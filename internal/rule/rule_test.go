@@ -1,7 +1,9 @@
 package rule
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -360,9 +362,65 @@ func TestTopKNonRedundant(t *testing.T) {
 func TestTopKDeterministicTieBreak(t *testing.T) {
 	a := New([]AttrPair{{0, 0}}, 5, 5, nil)
 	b := New([]AttrPair{{1, 1}}, 5, 5, nil)
-	c1 := TopKNonRedundant([]Scored{{a, 1}, {b, 1}}, 2)
-	c2 := TopKNonRedundant([]Scored{{b, 1}, {a, 1}}, 2)
+	c1 := TopKNonRedundant([]Scored{{Rule: a, Utility: 1}, {Rule: b, Utility: 1}}, 2)
+	c2 := TopKNonRedundant([]Scored{{Rule: b, Utility: 1}, {Rule: a, Utility: 1, Key: a.Key()}}, 2)
 	if c1[0].Rule.Key() != c2[0].Rule.Key() {
 		t.Error("tie break depends on input order")
+	}
+	for _, s := range append(c1, c2...) {
+		if s.Key != s.Rule.Key() {
+			t.Errorf("selected entry carries key %q, want %q", s.Key, s.Rule.Key())
+		}
+	}
+}
+
+// fmtKey is the fmt rendering Rule.Key replaced, kept as the reference
+// its bytes must match: keys order top-K ties and key maps, so a changed
+// byte would reorder mined rules.
+func fmtKey(r *Rule) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Y%d:%d|L", r.Y, r.Ym)
+	for _, p := range r.LHS {
+		fmt.Fprintf(&b, "(%d,%d)", p.Input, p.Master)
+	}
+	b.WriteString("|P")
+	for _, c := range r.Pattern {
+		if c.Negate {
+			fmt.Fprintf(&b, "(!%d:", c.Attr)
+		} else {
+			fmt.Fprintf(&b, "(%d:", c.Attr)
+		}
+		for i, code := range c.Codes {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", code)
+		}
+		b.WriteByte(')')
+	}
+	return b.String()
+}
+
+// TestKeyMatchesFmt pins Rule.Key byte for byte to its fmt rendering on
+// the shapes rules take: empty, empty pattern, multi-pair LHS, negated
+// and multi-code conditions, labels (excluded from the key) and codes
+// wide enough to outgrow the key's stack buffer.
+func TestKeyMatchesFmt(t *testing.T) {
+	wide := make([]int32, 40)
+	for i := range wide {
+		wide[i] = int32(1000003 * (i + 1))
+	}
+	for _, r := range []*Rule{
+		New(nil, 0, 0, nil),
+		New([]AttrPair{{3, 7}}, 12, 9, nil),
+		New([]AttrPair{{4, 1}, {0, 0}, {2, 11}}, 5, 5, nil),
+		New(nil, 5, 5, []Condition{NotEq(3, 17)}),
+		New([]AttrPair{{0, 0}}, 5, 5, []Condition{NewCondition(1, []int32{9, 2, 40}, "b∈{…}"), NotEq(6, 0)}),
+		New([]AttrPair{{1, 1}, {2, 2}}, 10, 8, []Condition{Eq(0, 3), NewCondition(4, wide, ""), NotEq(7, 123456)}),
+		New([]AttrPair{{0, 0}}, 5, 5, []Condition{{Attr: 2, Negate: true}}),
+	} {
+		if got, want := r.Key(), fmtKey(r); got != want {
+			t.Errorf("Key() = %q, want %q", got, want)
+		}
 	}
 }

@@ -35,11 +35,11 @@ go run ./cmd/ermvet -checks all ./...
 echo "== allocation gate: zero-alloc tests without -race"
 # The steady-state allocation tests skip themselves under -race, which
 # perturbs allocation counts, so the race suite below never gates them:
-# columnar Evaluate and the posting kernels, repair's applyRule, a warm
-# DQN training step, and the coordinator's response splice. Run them
-# here without it. A test that did not run (renamed, or skipped) fails
-# the gate like one that failed.
-alloc_tests="TestEvaluateZeroAlloc TestApplyRuleZeroAllocSteadyState TestTrainStepZeroAlloc TestSpliceAllocsFlat"
+# columnar Evaluate and the condition kernels, repair's applyRule, a warm
+# DQN training step and greedy action selection, and the coordinator's
+# response splice. Run them here without it. A test that did not run
+# (renamed, or skipped) fails the gate like one that failed.
+alloc_tests="TestEvaluateZeroAlloc TestApplyRuleZeroAllocSteadyState TestTrainStepZeroAlloc TestSelectActionZeroAlloc TestSpliceAllocsFlat"
 if ! alloc_out=$(go test -v -run "^($(echo $alloc_tests | tr ' ' '|'))\$" \
     ./internal/measure ./internal/repair ./internal/rl ./internal/cluster 2>&1); then
     echo "$alloc_out" >&2
