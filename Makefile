@@ -47,8 +47,9 @@ test:
 	go test ./...
 
 # The paper-artifact benchmarks plus the micro-benchmarks in
-# bench_test.go (BenchmarkEnuMinerParallel reports its speedup over the
-# serial walk; baselines in BENCH_hotpath.json and BENCH_parallel.json).
+# bench_test.go (BenchmarkEnuMinerParallel reports the speedup of all
+# CPUs over one worker; baselines in BENCH_hotpath.json and
+# BENCH_parallel.json).
 bench:
 	go test -run XXX -bench . -benchmem .
 

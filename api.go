@@ -20,8 +20,8 @@ import (
 type (
 	// Problem is one editing-rule discovery instance (paper Problem 1).
 	// Its Parallelism field sets the worker budget of EnuMiner's
-	// parallel frontier (0 = all CPUs, 1 = serial; results are
-	// bit-identical either way), and Problem.ShareIndexes equips it
+	// level-synchronized frontier (0 = all CPUs; results are
+	// bit-identical at any count), and Problem.ShareIndexes equips it
 	// with a shared master-index cache reused across mining, reward
 	// queries and repair.
 	Problem = core.Problem

@@ -140,8 +140,8 @@ func TestWriteFixesPublic(t *testing.T) {
 
 // TestParallelismPublicSurface drives the parallel-engine knobs through
 // the public façade: Problem.Parallelism, Problem.ShareIndexes and the
-// Problem.IndexCache field. Parallel mining must match the serial path
-// exactly.
+// Problem.IndexCache field. Mining on several workers must match one
+// worker exactly.
 func TestParallelismPublicSurface(t *testing.T) {
 	ds, err := erminer.BuildDataset("covid", erminer.DatasetSpec{
 		InputSize: 300, MasterSize: 300, Seed: 1,

@@ -335,9 +335,10 @@ func minNs(runs int, f func()) float64 {
 }
 
 // BenchmarkEnuMinerParallel measures a full EnuMinerH3 mine on the
-// level-synchronized parallel frontier against the serial walk,
-// reporting the speedup. A sanity check asserts the two walks explored
-// identically; the recorded baseline lives in BENCH_parallel.json.
+// level-synchronized frontier with one worker per CPU against one
+// worker, reporting the speedup. A sanity check asserts the two runs
+// explored identically; the recorded baseline lives in
+// BENCH_parallel.json.
 func BenchmarkEnuMinerParallel(b *testing.B) {
 	p := benchProblem(b)
 	mine := func(workers int) *core.ResultSet {
@@ -357,7 +358,7 @@ func BenchmarkEnuMinerParallel(b *testing.B) {
 	}
 	b.StopTimer()
 	if res.Explored != base.Explored || len(res.Rules) != len(base.Rules) {
-		b.Fatalf("parallel walk diverged: explored %d/%d rules %d/%d",
+		b.Fatalf("all-CPU walk diverged from one worker: explored %d/%d rules %d/%d",
 			res.Explored, base.Explored, len(res.Rules), len(base.Rules))
 	}
 	b.ReportMetric(serialNs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "speedup")

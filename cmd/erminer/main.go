@@ -26,8 +26,9 @@
 // Methods: rlminer (default), enuminer, enuminerh3, ctane.
 //
 // EnuMiner expands its search frontier on one worker per CPU by default
-// (-parallel 0); -parallel 1 forces the serial walk. Results are
-// bit-identical at any worker count.
+// (-parallel 0); -parallel N sets N workers of the same level walk, so
+// -parallel 1 runs it on one. Results are bit-identical at any worker
+// count.
 package main
 
 import (
@@ -83,7 +84,7 @@ func main() {
 	flag.IntVar(&o.master, "master", 0, "master size (0 = paper default; benchmark mode)")
 	flag.IntVar(&o.eta, "eta", 0, "support threshold (0 = dataset default)")
 	flag.IntVar(&o.steps, "steps", 5000, "RLMiner training steps")
-	flag.IntVar(&o.parallel, "parallel", 0, "EnuMiner frontier workers (0 = all CPUs, 1 = serial; results are identical at any setting)")
+	flag.IntVar(&o.parallel, "parallel", 0, "EnuMiner frontier workers (0 = one per CPU; results are identical at any setting)")
 	flag.BoolVar(&o.doRepair, "repair", true, "apply rules and report results")
 	flag.BoolVar(&o.verbose, "v", false, "print every discovered rule")
 	flag.StringVar(&o.inputCSV, "input-csv", "", "input CSV path (enables CSV mode)")

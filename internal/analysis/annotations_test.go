@@ -27,7 +27,6 @@ func TestGuardedByInventory(t *testing.T) {
 			"job.explored=mu",
 			"job.finished=mu",
 			"job.rules=mu",
-			"job.rulesJSON=mu",
 			"job.started=mu",
 			"job.state=mu",
 			"job.step=mu",

@@ -73,7 +73,6 @@ type mined struct {
 	vars    []int
 	consts  []rule.Condition // conditions over master attributes
 	support int
-	conf    float64
 }
 
 // Mine implements core.Miner.
@@ -160,7 +159,6 @@ func (m *Miner) Mine(p *core.Problem) (*core.ResultSet, error) {
 						vars:    child.vars,
 						consts:  child.consts,
 						support: supp,
-						conf:    conf,
 					})
 					continue // minimality: do not refine a valid CFD
 				}

@@ -148,11 +148,8 @@ type Coordinator struct {
 	// advance in lockstep but are not reported here).
 	generation atomic.Int64
 
-	// pushMu serializes rule pushes and guards the last pushed
-	// generation's identity.
-	pushMu    sync.Mutex
-	lastETag  string // guarded by pushMu
-	lastCount int    // guarded by pushMu
+	// pushMu serializes rule pushes.
+	pushMu sync.Mutex
 
 	closed   atomic.Bool
 	stopOnce sync.Once
@@ -196,13 +193,6 @@ func New(cfg Config) (*Coordinator, error) {
 		close(c.loopDone)
 	}
 	return c, nil
-}
-
-// Workers returns the configured worker base URLs.
-func (c *Coordinator) Workers() []string {
-	out := make([]string, len(c.workers))
-	copy(out, c.workers)
-	return out
 }
 
 // ServeHTTP implements http.Handler.

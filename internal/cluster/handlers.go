@@ -297,7 +297,6 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 			version = ar.Version
 		}
 	}
-	c.lastETag, c.lastCount = etag, count
 	c.generation.Add(1)
 	c.metrics.rulePushes.Add(1)
 	serve.WriteJSON(w, http.StatusOK, serve.RulesAck{Version: version, Count: count, ETag: etag})

@@ -83,10 +83,14 @@ func (r *registry) healthyCount() int {
 
 // generationSkew reports how many distinct non-empty rule generations
 // the live part of the fleet is running; anything above 1 means a rule
-// push is in flight or has partially failed. Dead workers are excluded:
-// they will restage on recovery (or be replaced), and counting their
-// stale generation would hold the skew alarm up for as long as the
-// outage lasts.
+// push is in flight or has partially failed, or a worker came back on
+// other rules. Dead workers are excluded, so an outage alone does not
+// hold the skew alarm up. Nothing restages a worker when it recovers:
+// one restarted from its startup -rules file is marked alive on that
+// old generation, dispatch still sends it the sub-batches pinned to it
+// (a batch that lands only there is answered under the old rules, one
+// that also lands on a current worker fails the merge with 502), and
+// the skew stays above 1 until the next push.
 func (r *registry) generationSkew() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

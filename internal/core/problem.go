@@ -40,9 +40,9 @@ type Problem struct {
 	TopK int
 	// Parallelism is the worker budget of EnuMiner's level-synchronized
 	// frontier: how many evaluator shards expand candidates at once.
-	// Zero selects runtime.NumCPU(); 1 forces the exact serial walk.
-	// Every setting produces a bit-identical result (DESIGN.md decision
-	// 11).
+	// Zero selects runtime.NumCPU(). Every setting, 1 included, runs the
+	// same walk and produces a bit-identical result (DESIGN.md decisions
+	// 11 and 28).
 	Parallelism int
 	// IndexCache, when non-nil, is borrowed by every evaluator built
 	// for this problem, so mining, MDP reward queries and repair reuse

@@ -94,6 +94,26 @@ func (s *Space) Added(d int) *rule.Condition {
 	return &s.Units[d-len(s.LHSPairs)].Cond
 }
 
+// Refine returns the child of r on dimension d: r with the LHS pair or
+// the pattern unit of d added. It reports false when r already
+// constrains d's input attribute on that side. Every edge of the
+// refinement lattice is one Refine: EnuMiner walks them and RLMiner's
+// MDP takes them as actions.
+func (s *Space) Refine(r *rule.Rule, d int) (*rule.Rule, bool) {
+	if d < len(s.LHSPairs) {
+		pair := s.LHSPairs[d]
+		if r.HasLHSAttr(pair.Input) {
+			return nil, false
+		}
+		return r.WithLHS(pair.Input, pair.Master), true
+	}
+	cond := s.Units[d-len(s.LHSPairs)].Cond
+	if r.HasPatternAttr(cond.Attr) {
+		return nil, false
+	}
+	return r.WithCondition(cond), true
+}
+
 // UnitDims returns the dimensions of the pattern units on attribute a.
 func (s *Space) UnitDims(a int) []int { return s.unitsByAttr[a] }
 

@@ -98,8 +98,6 @@ type Dataset struct {
 	Y, Ym int
 	// SupportThreshold is η_s scaled to the built input size.
 	SupportThreshold int
-	// Pool is the shared dictionary pool of both relations.
-	Pool *relation.Pool
 }
 
 // Build materialises the world under the given spec.
@@ -195,7 +193,6 @@ func (w *World) Build(spec Spec) (*Dataset, error) {
 		Y:                y,
 		Ym:               ym,
 		SupportThreshold: eta,
-		Pool:             pool,
 	}, nil
 }
 

@@ -18,11 +18,13 @@
 //     parent's pattern cover (Alg. 4 lines 9–10), where only the one
 //     condition the refinement adds is tested.
 //
-// The walk runs either serially or as a level-synchronized parallel
-// frontier expansion: each BFS level's (node, dim) refinements fan out
-// across a bounded pool of evaluator shards and are merged back in
-// canonical order, so found rules, Explored counts and every pruning
-// decision are bit-identical to the serial walk (DESIGN.md decision 11).
+// Each lattice edge is one core.Space.Refine, the step RLMiner's MDP
+// takes too. The walk is a level-synchronized frontier expansion: each
+// BFS level's (node, dim) refinements fan out across Problem.Workers()
+// evaluator shards and are merged back in canonical order, so found
+// rules, Explored counts and every pruning decision are those of a
+// serial breadth-first walk at any worker count, 1 included (DESIGN.md
+// decisions 11 and 28).
 package enuminer
 
 import (
@@ -85,103 +87,40 @@ func (m *Miner) Mine(p *core.Problem) (*core.ResultSet, error) {
 	}
 	space := core.BuildSpace(p, spaceCfg)
 	ev := p.NewEvaluator()
-
-	root := &node{
-		r:      rule.New(nil, p.Y, p.Ym, nil),
-		maxDim: -1,
-	}
-	rootMeasures := ev.Evaluate(root.r, nil)
-	root.cover = rootMeasures.PatternCover
-
-	var (
-		found    []core.MinedRule
-		explored int
-	)
-	// The frontier expands on Problem.Workers() workers; any count
-	// produces a bit-identical ResultSet.
-	if workers := p.Workers(); workers > 1 {
-		found, explored = m.mineParallel(p, space, ev, root, workers)
-	} else {
-		found, explored = m.mineSerial(p, space, ev, root)
-	}
-
+	root := rule.New(nil, p.Y, p.Ym, nil)
+	start := node{r: root, cover: ev.Evaluate(root, nil).PatternCover, maxDim: -1}
+	found, explored := m.walk(p, space, ev, start, p.Workers())
 	return &core.ResultSet{
 		Rules:    core.SelectTopK(found, p.K()),
 		Explored: explored,
 	}, nil
 }
 
-// mineSerial is the original single-threaded levelwise walk; it is the
-// reference the parallel path must match bit for bit.
-func (m *Miner) mineSerial(p *core.Problem, space *core.Space, ev *measure.Evaluator, root *node) ([]core.MinedRule, int) {
-	var (
-		queue    = []*node{root}
-		found    []core.MinedRule
-		explored = 0
-	)
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for d := n.maxDim + 1; d < space.Dim(); d++ {
-			child, ok := m.refine(space, n, d)
-			if !ok {
-				continue
-			}
-			if m.cfg.MaxExplored > 0 && explored >= m.cfg.MaxExplored {
-				queue = nil
-				break
-			}
-			explored++
-			ms := ev.Evaluate(child.r, &measure.Refinement{ParentCover: n.cover, Added: space.Added(d)})
-			child.cover = ms.PatternCover
-
-			if len(child.r.LHS) == 0 {
-				// A pattern-only node is an internal node: it cannot be
-				// a rule, but its subtree can. Its support upper bound
-				// is its cover size.
-				if len(child.cover) >= p.SupportThreshold {
-					queue = append(queue, child)
-				} else {
-					// Pruned: recycle the cover buffer. Found rules
-					// keep ms.PatternCover (the same slice), so only
-					// never-surfaced covers may be released.
-					ev.ReleaseCover(child.cover)
-					child.cover = nil
-				}
-				continue
-			}
-			if ms.Support < p.SupportThreshold {
-				ev.ReleaseCover(child.cover)
-				child.cover = nil
-				continue // Lemma 1: the whole subtree is below η_s
-			}
-			found = append(found, core.MinedRule{Rule: child.r, Measures: ms})
-			if ms.Certainty < 1 {
-				queue = append(queue, child)
-			}
-		}
-	}
-	return found, explored
-}
-
-// task is one refinement of a BFS level awaiting evaluation: the child
-// and how it was made from its parent.
+// task is one refinement of a BFS level: the child, how it was made
+// from its parent, and its measures with the shard that computed them.
 type task struct {
-	child *node
+	child node
 	from  measure.Refinement
+	ms    measure.Measures
+	shard int
 }
 
-// mineParallel is the level-synchronized frontier expansion. The BFS
-// queue of the serial walk is processed level by level (the FIFO order
-// is exactly level order, since every level-k node enters the queue
-// before any level-k+1 node): each level's candidates are generated
-// serially in canonical (node, dim) order — which also places the
-// MaxExplored cap at precisely the candidate the serial walk would stop
-// at — then evaluated concurrently by a pool of evaluator shards
-// borrowing one shared index cache, and finally merged back in
-// canonical order so found, Explored and every pruning decision match
-// the serial walk bit for bit.
-func (m *Miner) mineParallel(p *core.Problem, space *core.Space, ev *measure.Evaluator, root *node, workers int) ([]core.MinedRule, int) {
+// walk is the level-synchronized frontier expansion from root. A
+// breadth-first queue holds every level-k node before any level-k+1
+// node, so the walk takes it a level at a time:
+//
+//  1. generate the level's children in canonical (node, dim) order,
+//     which also places the MaxExplored cap at the exact candidate a
+//     serial walk stops at;
+//  2. evaluate them on a pool of evaluator shards sharing ev's index
+//     cache, one shard on this goroutine and the rest on their own;
+//  3. merge them back in canonical order, applying the pruning
+//     decisions and handing each pruned child's cover back to the
+//     shard that evaluated it.
+//
+// Found rules, Explored and every pruning decision are therefore those
+// of a serial walk at any worker count (DESIGN.md decisions 11, 28).
+func (m *Miner) walk(p *core.Problem, space *core.Space, ev *measure.Evaluator, root node, workers int) ([]core.MinedRule, int) {
 	shards := make([]*measure.Evaluator, workers)
 	for i := range shards {
 		shards[i] = ev.Shard()
@@ -190,108 +129,87 @@ func (m *Miner) mineParallel(p *core.Problem, space *core.Space, ev *measure.Eva
 	var (
 		found    []core.MinedRule
 		explored int
-		level    = []*node{root}
+		level    = []node{root}
 		tasks    []task
+		capped   bool
 	)
-	for len(level) > 0 {
-		// Phase 1: generate this level's candidates canonically.
-		// Refinement is a cheap structural check; the expensive part is
-		// evaluation, which is what fans out.
+	for len(level) > 0 && !capped {
 		tasks = tasks[:0]
-		capped := false
+	generate:
 		for _, n := range level {
-			for d := n.maxDim + 1; d < space.Dim(); d++ {
-				child, ok := m.refine(space, n, d)
+			// The H3 shape bounds close a whole side of the space.
+			lo, hi := n.maxDim+1, space.Dim()
+			if m.cfg.MaxLHS > 0 && len(n.r.LHS) >= m.cfg.MaxLHS {
+				lo = max(lo, space.NumLHS())
+			}
+			if m.cfg.MaxPattern > 0 && len(n.r.Pattern) >= m.cfg.MaxPattern {
+				hi = space.NumLHS()
+			}
+			for d := lo; d < hi; d++ {
+				child, ok := space.Refine(n.r, d)
 				if !ok {
 					continue
 				}
 				if m.cfg.MaxExplored > 0 && explored >= m.cfg.MaxExplored {
 					capped = true
-					break
+					break generate
 				}
 				explored++
 				tasks = append(tasks, task{
-					child: child,
+					child: node{r: child, maxDim: d},
 					from:  measure.Refinement{ParentCover: n.cover, Added: space.Added(d)},
 				})
 			}
-			if capped {
-				break
-			}
 		}
 
-		// Phase 2: fan the evaluations out across the shard pool. Each
-		// result lands in its own slot, so merging needs no locks.
-		results := make([]measure.Measures, len(tasks))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, shard := range shards {
-			wg.Add(1)
-			go func(shard *measure.Evaluator) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					results[i] = shard.Evaluate(tasks[i].child.r, &tasks[i].from)
+		// Each result lands in its own task, so the merge needs no locks.
+		var claimed atomic.Int64
+		evaluate := func(shard int) {
+			for {
+				i := int(claimed.Add(1)) - 1
+				if i >= len(tasks) {
+					return
 				}
+				tasks[i].ms = shards[shard].Evaluate(tasks[i].child.r, &tasks[i].from)
+				tasks[i].shard = shard
+			}
+		}
+		var wg sync.WaitGroup
+		for shard := 1; shard < len(shards); shard++ {
+			wg.Add(1)
+			go func(shard int) {
+				defer wg.Done()
+				evaluate(shard)
 			}(shard)
 		}
+		evaluate(0)
 		wg.Wait()
 
-		// Phase 3: merge in canonical order, applying exactly the
-		// serial walk's pruning decisions.
-		var nextLevel []*node
-		for i, t := range tasks {
-			ms := results[i]
-			child := t.child
+		var next []node
+		for _, t := range tasks {
+			child, ms := t.child, t.ms
 			child.cover = ms.PatternCover
-			if len(child.r.LHS) == 0 {
-				if len(child.cover) >= p.SupportThreshold {
-					nextLevel = append(nextLevel, child)
+			switch {
+			case len(child.r.LHS) == 0 && len(child.cover) >= p.SupportThreshold:
+				// A pattern-only node cannot be a rule, but its
+				// subtree can; its cover bounds that subtree's support.
+				next = append(next, child)
+			case len(child.r.LHS) == 0 || ms.Support < p.SupportThreshold:
+				// Pruned (Lemma 1: the whole subtree is below η_s). No
+				// found rule holds this cover, so its buffer is free.
+				shards[t.shard].ReleaseCover(child.cover)
+			default:
+				found = append(found, core.MinedRule{Rule: child.r, Measures: ms})
+				if ms.Certainty < 1 {
+					next = append(next, child)
 				}
-				continue
-			}
-			if ms.Support < p.SupportThreshold {
-				continue // Lemma 1: the whole subtree is below η_s
-			}
-			found = append(found, core.MinedRule{Rule: child.r, Measures: ms})
-			if ms.Certainty < 1 {
-				nextLevel = append(nextLevel, child)
 			}
 		}
-		if capped {
-			break
-		}
-		level = nextLevel
+		level = next
 	}
 
 	for _, shard := range shards {
 		ev.Stats.Add(shard.Stats)
 	}
 	return found, explored
-}
-
-// refine builds the child of n on dimension d, or reports that the
-// dimension is inapplicable (attribute already used, or shape bound hit).
-func (m *Miner) refine(space *core.Space, n *node, d int) (*node, bool) {
-	if d < space.NumLHS() {
-		pair := space.LHSPairs[d]
-		if n.r.HasLHSAttr(pair.Input) {
-			return nil, false
-		}
-		if m.cfg.MaxLHS > 0 && len(n.r.LHS) >= m.cfg.MaxLHS {
-			return nil, false
-		}
-		return &node{r: n.r.WithLHS(pair.Input, pair.Master), maxDim: d}, true
-	}
-	unit := space.Unit(d)
-	if n.r.HasPatternAttr(unit.Cond.Attr) {
-		return nil, false
-	}
-	if m.cfg.MaxPattern > 0 && len(n.r.Pattern) >= m.cfg.MaxPattern {
-		return nil, false
-	}
-	return &node{r: n.r.WithCondition(unit.Cond), maxDim: d}, true
 }

@@ -13,8 +13,6 @@ import (
 	"erminer/internal/core"
 	"erminer/internal/datagen"
 	"erminer/internal/errgen"
-	"erminer/internal/measure"
-	"erminer/internal/rule"
 )
 
 // assertIdenticalResults requires got to be bit-identical to want:
@@ -126,22 +124,18 @@ func TestParallelMineDeterminism(t *testing.T) {
 }
 
 // TestParallelCapDeterminism places the MaxExplored cap at awkward
-// positions (mid-node, mid-level, first candidate) and checks the
-// parallel walk cuts off at exactly the candidate the serial walk
-// would, with an identical result.
+// positions (mid-node, mid-level, first candidate) and checks that Mine
+// at 1, 2, 3 and 8 workers cuts off at exactly the candidate the serial
+// oracle does, with an identical result.
 func TestParallelCapDeterminism(t *testing.T) {
 	p := plantedProblem(t, 400, 5)
 	for _, capN := range []int{1, 7, 50, 333} {
 		cfg := Config{MaxExplored: capN}
-		p.Parallelism = 1
-		base, err := New(cfg).Mine(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, _ := New(cfg).mineWith(p, 0)
 		if base.Explored > capN {
 			t.Fatalf("cap=%d: serial explored %d", capN, base.Explored)
 		}
-		for _, workers := range []int{2, 3, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			p.Parallelism = workers
 			got, err := New(cfg).Mine(p)
 			if err != nil {
@@ -153,39 +147,22 @@ func TestParallelCapDeterminism(t *testing.T) {
 	p.Parallelism = 0
 }
 
-// TestParallelStatsMatchSerial asserts that a parallel walk, with its
+// TestParallelStatsMatchSerial asserts that the level walk, with its
 // worker-shard stats merged back through Stats.Add, reports exactly the
-// same Evaluations / IndexBuilds / TuplesScanned totals as the serial
-// walk.
+// serial oracle's Explored count, rules and Evaluations / IndexBuilds /
+// TuplesScanned totals at 1, 2, 3 and 8 workers.
 func TestParallelStatsMatchSerial(t *testing.T) {
 	p := plantedProblem(t, 300, 9)
-	space := core.BuildSpace(p, core.SpaceConfig{MinValueCount: p.SupportThreshold})
 	m := New(Config{})
-
-	run := func(workers int) (explored int, stats measure.Stats) {
-		ev := measure.NewEvaluator(p.Input, p.Master, p.Truth)
-		root := &node{r: rule.New(nil, p.Y, p.Ym, nil), maxDim: -1}
-		ms := ev.Evaluate(root.r, nil)
-		root.cover = ms.PatternCover
-		if workers > 1 {
-			_, explored = m.mineParallel(p, space, ev, root, workers)
-		} else {
-			_, explored = m.mineSerial(p, space, ev, root)
-		}
-		return explored, ev.Stats
+	want, wantStats := m.mineWith(p, 0)
+	if wantStats.Evaluations == 0 || wantStats.IndexBuilds == 0 {
+		t.Fatalf("degenerate serial stats: %+v", wantStats)
 	}
-
-	explored1, stats1 := run(1)
-	if stats1.Evaluations == 0 || stats1.IndexBuilds == 0 {
-		t.Fatalf("degenerate serial stats: %+v", stats1)
-	}
-	for _, workers := range []int{2, 8} {
-		exploredN, statsN := run(workers)
-		if exploredN != explored1 {
-			t.Fatalf("workers=%d: explored %d, want %d", workers, exploredN, explored1)
-		}
-		if statsN != stats1 {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, statsN, stats1)
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, stats := m.mineWith(p, workers)
+		assertIdenticalResults(t, want, got, workers)
+		if stats != wantStats {
+			t.Fatalf("workers=%d: stats %+v, want %+v", workers, stats, wantStats)
 		}
 	}
 }

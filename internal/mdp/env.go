@@ -359,7 +359,7 @@ func (e *Env) Step(action int) StepResult {
 // computes its reward, registers it in the tree and decides whether the
 // walk descends into it. It returns the (possibly shaped) reward.
 func (e *Env) growChild(parent *node, action int) float64 {
-	childRule, ok := e.refine(parent.r, action)
+	childRule, ok := e.space.Refine(parent.r, action)
 	if !ok {
 		// The action was masked for structural reasons; treat as an
 		// invalid rule. (Agents only pick masked actions in tests.)
@@ -457,23 +457,6 @@ func (e *Env) growChild(parent *node, action int) float64 {
 		r += r - parentReward
 	}
 	return r
-}
-
-// refine applies a refinement dimension to a rule, mirroring
-// enuminer's transition function.
-func (e *Env) refine(r *rule.Rule, d int) (*rule.Rule, bool) {
-	if d < e.space.NumLHS() {
-		pair := e.space.LHSPairs[d]
-		if r.HasLHSAttr(pair.Input) {
-			return nil, false
-		}
-		return r.WithLHS(pair.Input, pair.Master), true
-	}
-	unit := e.space.Unit(d)
-	if r.HasPatternAttr(unit.Cond.Attr) {
-		return nil, false
-	}
-	return r.WithCondition(unit.Cond), true
 }
 
 func insertDim(setDims []int, d int) []int {

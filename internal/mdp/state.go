@@ -30,10 +30,11 @@ import (
 //
 // Rules are not serialised: every node key encodes its dimension set
 // (two bytes per dimension, sorted), and replaying those refinements
-// through Env.refine rebuilds a structurally identical *rule.Rule —
-// rule construction normalises LHS/Pattern order, so the rebuilt rule
-// is indistinguishable from the original. Measures come back from the
-// reward cache, which holds an entry for every key ever generated.
+// through core.Space.Refine rebuilds a structurally identical
+// *rule.Rule — each step inserts its pair or condition in canonical
+// order, so the rebuilt rule is indistinguishable from the original.
+// Measures come back from the reward cache, which holds an entry for
+// every key ever generated.
 // All map-derived slices are sorted by key so the encoding itself is
 // deterministic.
 
@@ -287,7 +288,7 @@ func (e *Env) buildRule(key string) (*rule.Rule, []int, error) {
 	}
 	r := rule.New(nil, e.problem.Y, e.problem.Ym, nil)
 	for _, d := range dims {
-		next, ok := e.refine(r, d)
+		next, ok := e.space.Refine(r, d)
 		if !ok {
 			return nil, nil, fmt.Errorf("mdp: node key replays invalid refinement on dimension %d", d)
 		}

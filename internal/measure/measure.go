@@ -240,10 +240,6 @@ func (e *Evaluator) Shard() *Evaluator {
 // evaluators (see NewSharedEvaluator).
 func (e *Evaluator) Cache() *IndexCache { return e.cache }
 
-// Columns exposes the evaluator's columnar store for sharing with other
-// evaluators over the same input relation (see ShareColumns).
-func (e *Evaluator) Columns() *ColumnIndex { return e.columns }
-
 // ShareColumns rebinds the evaluator to an existing columnar store so
 // that separately-constructed evaluators over the same input relation
 // (mining, reward queries, repair) reuse each other's posting lists and

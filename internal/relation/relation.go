@@ -88,9 +88,6 @@ func (s *Schema) Len() int { return len(s.attrs) }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attribute { return append([]Attribute(nil), s.attrs...) }
-
 // Index returns the position of the named attribute, or -1 if absent.
 func (s *Schema) Index(name string) int {
 	if i, ok := s.index[name]; ok {

@@ -76,10 +76,9 @@ func pad(s string, w int) string {
 
 // Series is one line of a figure: a named sequence of (x, y) points.
 type Series struct {
-	Name   string
-	X      []float64
-	Y      []float64
-	YLabel string
+	Name string
+	X    []float64
+	Y    []float64
 }
 
 // Figure is a set of series sharing an x-axis, standing in for one paper

@@ -121,8 +121,9 @@ func (c Condition) SameCodes(o Condition) bool {
 // LHS holds the matched attribute pairs (X, X_m); Pattern holds the
 // conjuncts of t_p. Both are kept sorted (LHS by input attribute, Pattern
 // by attribute then first code) so that equal rules have equal canonical
-// keys. A rule does not change once New, Clone, WithLHS or
-// WithCondition has returned it; String relies on that.
+// keys. A rule does not change once New, WithLHS or WithCondition has
+// returned it: String relies on that, and a child shares its parent's
+// slices.
 type Rule struct {
 	LHS     []AttrPair
 	Y       int // dependent attribute in R
@@ -158,57 +159,66 @@ func New(lhs []AttrPair, y, ym int, pattern []Condition) *Rule {
 }
 
 func (r *Rule) normalise() {
-	sort.Slice(r.LHS, func(i, j int) bool {
-		if r.LHS[i].Input != r.LHS[j].Input {
-			return r.LHS[i].Input < r.LHS[j].Input
-		}
-		return r.LHS[i].Master < r.LHS[j].Master
-	})
-	sort.Slice(r.Pattern, func(i, j int) bool {
-		a, b := r.Pattern[i], r.Pattern[j]
-		if a.Attr != b.Attr {
-			return a.Attr < b.Attr
-		}
-		if len(a.Codes) == 0 || len(b.Codes) == 0 {
-			return len(a.Codes) < len(b.Codes)
-		}
-		return a.Codes[0] < b.Codes[0]
-	})
+	sort.Slice(r.LHS, func(i, j int) bool { return lessPair(r.LHS[i], r.LHS[j]) })
+	sort.Slice(r.Pattern, func(i, j int) bool { return lessCond(r.Pattern[i], r.Pattern[j]) })
 }
 
-// Clone returns a deep copy of the rule.
-func (r *Rule) Clone() *Rule {
-	c := &Rule{
-		LHS:     append([]AttrPair(nil), r.LHS...),
+// lessPair and lessCond are the canonical orders of LHS and Pattern:
+// New sorts by them and WithLHS and WithCondition insert by them.
+func lessPair(a, b AttrPair) bool {
+	if a.Input != b.Input {
+		return a.Input < b.Input
+	}
+	return a.Master < b.Master
+}
+
+func lessCond(a, b Condition) bool {
+	if a.Attr != b.Attr {
+		return a.Attr < b.Attr
+	}
+	if len(a.Codes) == 0 || len(b.Codes) == 0 {
+		return len(a.Codes) < len(b.Codes)
+	}
+	return a.Codes[0] < b.Codes[0]
+}
+
+// WithLHS returns the rule with (a, am) added to LHS. The child shares
+// the receiver's pattern, which neither rule ever changes; its capacity
+// is capped, so even an append would copy it.
+func (r *Rule) WithLHS(a, am int) *Rule {
+	return &Rule{
+		LHS:     insert(r.LHS, AttrPair{Input: a, Master: am}, lessPair),
 		Y:       r.Y,
 		Ym:      r.Ym,
-		Pattern: make([]Condition, len(r.Pattern)),
+		Pattern: r.Pattern[:len(r.Pattern):len(r.Pattern)],
 	}
-	for i, p := range r.Pattern {
-		c.Pattern[i] = Condition{
-			Attr:   p.Attr,
-			Codes:  append([]int32(nil), p.Codes...),
-			Negate: p.Negate,
-			Label:  p.Label,
-		}
-	}
-	return c
 }
 
-// WithLHS returns a copy of the rule with (a, am) added to LHS.
-func (r *Rule) WithLHS(a, am int) *Rule {
-	c := r.Clone()
-	c.LHS = append(c.LHS, AttrPair{Input: a, Master: am})
-	c.normalise()
-	return c
-}
-
-// WithCondition returns a copy of the rule with cond added to the pattern.
+// WithCondition returns the rule with cond added to the pattern. The
+// child shares the receiver's LHS (capacity capped, as in WithLHS) and
+// code sets, which neither rule ever changes.
 func (r *Rule) WithCondition(cond Condition) *Rule {
-	c := r.Clone()
-	c.Pattern = append(c.Pattern, cond)
-	c.normalise()
-	return c
+	return &Rule{
+		LHS:     r.LHS[:len(r.LHS):len(r.LHS)],
+		Y:       r.Y,
+		Ym:      r.Ym,
+		Pattern: insert(r.Pattern, cond, lessCond),
+	}
+}
+
+// insert returns a new slice holding the sorted s with x after every
+// element not greater than it: where a stable sort of append(s, x)
+// places x.
+func insert[T any](s []T, x T, less func(a, b T) bool) []T {
+	i := len(s)
+	for i > 0 && less(x, s[i-1]) {
+		i--
+	}
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
 }
 
 // HasLHSAttr reports whether input attribute a appears in X.

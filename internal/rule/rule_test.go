@@ -195,7 +195,8 @@ func renderContexts() (*Rule, []*relation.Relation, []*relation.Schema, []string
 
 // TestStringPerContext pins String's memo to its render context: each
 // context gets its own string, also when a context comes back after
-// another replaced the stored rendering, and Clone starts unrendered.
+// another replaced the stored rendering, and a rendered rule's children
+// start unrendered.
 func TestStringPerContext(t *testing.T) {
 	r, rels, masters, want := renderContexts()
 	for _, i := range []int{0, 0, 1, 0, 2, 1, 2, 0} {
@@ -203,8 +204,10 @@ func TestStringPerContext(t *testing.T) {
 			t.Errorf("context %d: String = %q, want %q", i, got, want[i])
 		}
 	}
-	if r.Clone().rendered.Load() != nil {
-		t.Error("Clone carried the stored rendering over to the copy")
+	for _, child := range []*Rule{r.WithLHS(1, 1), r.WithCondition(Eq(1, 0))} {
+		if child.rendered.Load() != nil {
+			t.Errorf("child %s carried its parent's rendering over", child.Key())
+		}
 	}
 }
 
@@ -227,15 +230,6 @@ func TestStringConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	r := New([]AttrPair{{0, 0}}, 2, 2, []Condition{NewCondition(1, []int32{1, 2}, "l")})
-	c := r.Clone()
-	c.Pattern[0].Codes[0] = 99
-	if r.Pattern[0].Codes[0] == 99 {
-		t.Error("Clone shares code slices")
-	}
 }
 
 func randomRule(rng *rand.Rand) *Rule {

@@ -23,9 +23,3 @@ func Hash(data []byte) string {
 	sum := sha256.Sum256(data)
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
-
-// ETag renders Hash as a strong HTTP entity tag (the hash in quotes),
-// the form erminerd's GET /v1/rules responses carry.
-func ETag(data []byte) string {
-	return `"` + Hash(data) + `"`
-}

@@ -23,7 +23,7 @@ func TestJobWorkerSurvivesPanic(t *testing.T) {
 		if j.spec.Method == "boom" {
 			panic("miner exploded")
 		}
-		j.setDone(0, 0, nil, 0)
+		j.setDone(0, 0, 0)
 		ran <- j.id
 	})
 	bad, err := m.submit(JobSpec{Method: "boom"})

@@ -73,7 +73,6 @@ type job struct {
 	started   time.Time // guarded by mu
 	finished  time.Time // guarded by mu
 	activated int64     // guarded by mu
-	rulesJSON []byte    // guarded by mu; wire-format export of the mined rules
 }
 
 func (j *job) snapshot() JobStatus {
@@ -108,12 +107,11 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-func (j *job) setDone(rules, explored int, rulesJSON []byte, activated int64) {
+func (j *job) setDone(rules, explored int, activated int64) {
 	j.mu.Lock()
 	j.state = JobDone
 	j.rules = rules
 	j.explored = explored
-	j.rulesJSON = rulesJSON
 	j.activated = activated
 	j.finished = time.Now()
 	j.mu.Unlock()

@@ -447,7 +447,7 @@ func (s *Server) runJob(j *job) {
 		}
 		activated = v
 	}
-	j.setDone(len(res.Rules), res.Explored, data, activated)
+	j.setDone(len(res.Rules), res.Explored, activated)
 	s.metrics.jobsDone.Add(1)
 }
 

@@ -120,7 +120,7 @@ cpu=$(awk -F': ' '/^cpu:/ { print $2; exit }' "$raw")
 
 cat > "$out" <<EOF
 {
-  "description": "Baseline for the columnar posting-list evaluation engine (DESIGN.md decision 16). BenchmarkEvaluate is the steady-state rule-evaluation hot path shared by both miners and the serving layer: warm posting lists, dense group-id projection, recycled cover buffer; its allocs_per_op must be 0 (CI gates on TestEvaluateZeroAlloc and the scripts/check.sh cross-check). BenchmarkRepairThroughput drives the erminerd POST /v1/repair handler end to end; its allocations are request-path JSON and relation building, not evaluation.",
+  "description": "Baseline for the columnar posting-list evaluation engine (DESIGN.md decision 16). BenchmarkEvaluate is the steady-state rule-evaluation hot path shared by both miners and the serving layer: warm posting lists, dense group-id projection, recycled cover buffer; its allocs_per_op must be 0 (scripts/check.sh's allocation gate runs TestEvaluateZeroAlloc without -race). BenchmarkRepairThroughput drives the erminerd POST /v1/repair handler end to end; its allocations are request-path JSON and relation building, not evaluation.",
   "recorded": "$(date +%Y-%m-%d)",
   "recorded_with": "scripts/bench.sh (benchtime $benchtime)",
   "host": {
@@ -167,7 +167,7 @@ done
 pout=BENCH_parallel.json
 cat > "$pout" <<EOF
 {
-  "description": "Baseline for the parallel EnuMiner frontier (BenchmarkEnuMinerParallel in bench_test.go). The speedup metric is serial-walk (Parallelism 1) wall clock divided by all-CPU wall clock on the same problem; serial and parallel results are verified bit-identical (TestParallelMineDeterminism, TestParallelCapDeterminism).",
+  "description": "Baseline for the parallel EnuMiner frontier (BenchmarkEnuMinerParallel in bench_test.go). The speedup metric is one-worker (Parallelism 1) wall clock divided by all-CPU wall clock on the same problem, both on the one level-synchronized walk. Results are verified bit-identical to recorded constants at 1, 2 and 8 workers (TestParallelMineDeterminism) and to the serial oracle kept in the tests at 1, 2, 3 and 8 (TestParallelCapDeterminism, TestParallelStatsMatchSerial).",
   "recorded": "$(date +%Y-%m-%d)",
   "recorded_with": "scripts/bench.sh (benchtime $benchtime)",
   "host": {

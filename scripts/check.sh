@@ -32,16 +32,17 @@ GOARCH=arm64 go vet ./internal/nn ./internal/rl
 echo "== ermvet -checks all ./..."
 go run ./cmd/ermvet -checks all ./...
 
-echo "== allocation gate: zero-alloc tests without -race"
+echo "== allocation gate: allocation tests without -race"
 # The steady-state allocation tests skip themselves under -race, which
 # perturbs allocation counts, so the race suite below never gates them:
 # columnar Evaluate and the condition kernels, repair's applyRule, a warm
-# DQN training step and greedy action selection, and the coordinator's
-# response splice. Run them here without it. A test that did not run
-# (renamed, or skipped) fails the gate like one that failed.
-alloc_tests="TestEvaluateZeroAlloc TestApplyRuleZeroAllocSteadyState TestTrainStepZeroAlloc TestSelectActionZeroAlloc TestSpliceAllocsFlat"
+# DQN training step and greedy action selection, the coordinator's
+# response splice, and the lattice step both miners take (two
+# allocations a child). Run them here without it. A test that did not
+# run (renamed, or skipped) fails the gate like one that failed.
+alloc_tests="TestEvaluateZeroAlloc TestApplyRuleZeroAllocSteadyState TestTrainStepZeroAlloc TestSelectActionZeroAlloc TestSpliceAllocsFlat TestRefineAllocs"
 if ! alloc_out=$(go test -v -run "^($(echo $alloc_tests | tr ' ' '|'))\$" \
-    ./internal/measure ./internal/repair ./internal/rl ./internal/cluster 2>&1); then
+    ./internal/measure ./internal/repair ./internal/rl ./internal/cluster ./internal/core 2>&1); then
     echo "$alloc_out" >&2
     exit 1
 fi
