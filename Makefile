@@ -20,7 +20,7 @@ lint:
 # the daemon's repair/validate and PATCH /v1/data request decoders),
 # the evaluation engine's two differential fuzzers, which hold the
 # columnar engine and its delta-patched caches to the row-at-a-time
-# oracle, and FuzzKernels, which holds the network's SSE2 training
+# oracle, and FuzzKernels, which holds the network's AVX training
 # kernels to their Go loops bit for bit. CI-friendly 5s per target;
 # raise -fuzztime locally for a real hunt.
 fuzz:

@@ -289,7 +289,7 @@ func TestChaosWorkerKillMidBatch(t *testing.T) {
 	if n := c.metrics.retriesTotal.Load(); n < 1 {
 		t.Errorf("retriesTotal = %d, want >= 1 (the pinned worker gets its retry budget first)", n)
 	}
-	if c.reg.alive(1) {
+	if c.reg.routable(1) {
 		t.Error("worker 1 still marked alive after exhausting its dispatch budget")
 	}
 
@@ -307,7 +307,7 @@ func TestChaosWorkerKillMidBatch(t *testing.T) {
 	// rotation and fan-out must resume byte-identically.
 	chaos.dead.Store(false)
 	c.checkAll()
-	if !c.reg.alive(1) {
+	if !c.reg.routable(1) {
 		t.Fatal("worker 1 not marked alive after revival health round")
 	}
 	before := chaos.served.Load()
@@ -356,7 +356,7 @@ func TestCancelledRequestKeepsWorkersAlive(t *testing.T) {
 		t.Errorf("workers saw %d sub-batches, want 2 (one each, no hedge)", n)
 	}
 	for i := range urls {
-		if !c.reg.alive(i) {
+		if !c.reg.routable(i) {
 			t.Errorf("worker %d marked dead by a cancelled request", i)
 		}
 	}
@@ -554,6 +554,128 @@ func TestGenerationSkewDetection(t *testing.T) {
 	}
 	if !strings.Contains(w.Body.String(), "different rule generations") {
 		t.Errorf("mixed-generation error body %q does not name the cause", w.Body.String())
+	}
+}
+
+// TestRestartedWorkerRoutedAround pushes a generation through the
+// coordinator, restarts worker 1 from its startup rules, and runs one
+// health round: the restarted worker is alive but stale, so a
+// one-tuple batch pinned to either shard must be answered by worker 0,
+// under the pushed generation, with a single node's bytes, and /healthz
+// must name both etags. The next push makes worker 1 routable again.
+func TestRestartedWorkerRoutedAround(t *testing.T) {
+	startup := []core.MinedRule{districtRule()}
+	_, ts0 := newWorker(t, nil)
+	var worker1 atomic.Value // the *serve.Server behind worker 1's listener
+	_, ts1 := newWorker(t, func(inner http.Handler) http.Handler {
+		worker1.Store(inner)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			worker1.Load().(http.Handler).ServeHTTP(w, r)
+		})
+	})
+	c := newCoordinator(t, Config{Workers: []string{ts0.URL, ts1.URL}, Retries: -1, RetryBackoff: 2 * time.Millisecond})
+	shutdown := func(s *serve.Server) {
+		done := make(chan struct{})
+		time.AfterFunc(10*time.Second, func() { close(done) })
+		//ermvet:ignore errdrop test cleanup; Shutdown errors surface through the failing test itself
+		s.Shutdown(done)
+	}
+
+	data, err := rulesio.Export(clusterProblem(t), []core.MinedRule{districtRule(), districtAreaRule()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var put serve.RulesAck
+	w := do(c, "PUT", serve.PathRules, string(data))
+	if w.Code != http.StatusOK {
+		t.Fatalf("PUT /v1/rules: %d: %s", w.Code, w.Body.String())
+	}
+	decode(t, w, &put)
+
+	fresh, err := serve.New(clusterProblem(t), startup, serve.Config{Role: "worker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(fresh)
+	worker1.Store(fresh)
+	c.checkAll()
+
+	var health struct {
+		Status         string         `json:"status"`
+		WorkersHealthy int            `json:"workers_healthy"`
+		RulesETag      string         `json:"rules_etag"`
+		Workers        []WorkerStatus `json:"workers"`
+	}
+	decode(t, do(c, "GET", serve.PathHealthz, ""), &health)
+	w1 := health.Workers[1]
+	if health.Status != "degraded" || health.WorkersHealthy != 1 || health.RulesETag != put.ETag ||
+		!w1.Alive || w1.RulesETag == put.ETag || !strings.Contains(w1.LastError, w1.RulesETag) || !strings.Contains(w1.LastError, put.ETag) {
+		t.Errorf("healthz after the restart = %+v, want degraded with 1 healthy, rules_etag %s and worker 1 alive with a last error naming both etags", health, put.ETag)
+	}
+
+	single, err := serve.New(clusterProblem(t), startup, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(single)
+	if _, _, err := single.SwapRules(data); err != nil {
+		t.Fatal(err)
+	}
+	tuples := []map[string]string{
+		{"district": "hz", "area": "010", "postcode": "99999"},
+		{"district": "bd", "area": "020"},
+		{"district": "cz", "area": "030", "postcode": "52000"},
+		{"district": "hz", "area": "020", "postcode": ""},
+		{"district": "bd", "area": "010", "postcode": "45000"},
+		{"district": "cz", "area": "010", "postcode": "11111"},
+	}
+	batch := func(shard int) string {
+		for _, tu := range tuples {
+			if shardOf(tu, 2) == shard {
+				b, err := json.Marshal(serve.TupleBatch{Tuples: []map[string]string{tu}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+		}
+		t.Fatalf("no fixture tuple falls on shard %d", shard)
+		return ""
+	}
+	check := func(when string, shard int) {
+		t.Helper()
+		body := batch(shard)
+		want := do(single, "POST", serve.PathRepair, body)
+		got := do(c, "POST", serve.PathRepair, body)
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s, shard %d: coordinator answered %d %s\nsingle node: %s", when, shard, got.Code, got.Body.String(), want.Body.String())
+		}
+		var rr serve.RepairResponse
+		decode(t, got, &rr)
+		if rr.RulesVersion != put.Version {
+			t.Errorf("%s, shard %d: rules_version %d, want the pushed %d", when, shard, rr.RulesVersion, put.Version)
+		}
+	}
+	for shard := 0; shard < 2; shard++ {
+		check("worker 1 stale", shard)
+	}
+	if n := c.metrics.redispatches.Load(); n != 1 {
+		t.Errorf("redispatches = %d, want 1: the stale worker's one sub-batch goes straight to worker 0", n)
+	}
+
+	// The restarted worker's version counter now lags its peer's, so
+	// only the routing is checked here, not rules_version.
+	if w := do(c, "PUT", serve.PathRules, string(data)); w.Code != http.StatusOK {
+		t.Fatalf("second PUT /v1/rules: %d: %s", w.Code, w.Body.String())
+	}
+	if !c.reg.routable(1) {
+		t.Fatal("worker 1 still stale after a push activated a generation on it")
+	}
+	if got := do(c, "POST", serve.PathRepair, batch(1)); got.Code != http.StatusOK {
+		t.Fatalf("after the second push, shard 1 answered %d: %s", got.Code, got.Body.String())
+	}
+	if n := c.metrics.redispatches.Load(); n != 1 {
+		t.Errorf("redispatches = %d after the second push, want still 1: worker 1 serves its own shard again", n)
 	}
 }
 

@@ -77,28 +77,33 @@ func retryableStatus(code int) bool {
 
 // dispatch sends one sub-batch to its pinned worker, retrying with
 // exponential backoff (postWithRetry), then hedges across the remaining
-// healthy workers in ring order until one answers or the request's
-// context ends. It reads the successful worker's raw
-// response bytes into *dst, or returns a *passthrough for a 4xx answer,
-// which the caller relays. The method is threaded explicitly from the
-// handler so every hop of a sub-batch carries the same (method, path)
-// pair the httpcontract check resolves against the worker's registered
-// routes.
+// routable workers in ring order until one answers or the request's
+// context ends. A pinned worker that is stale, on another rules
+// generation than the one a push activated, is not tried at all. It
+// reads the successful worker's raw response bytes into *dst, or
+// returns a *passthrough for a 4xx answer, which the caller relays. The
+// method is threaded explicitly from the handler so every hop of a
+// sub-batch carries the same (method, path) pair the httpcontract check
+// resolves against the worker's registered routes.
 func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []byte, pinned int, dst *[]byte) error {
-	down, lastErr := c.postWithRetry(ctx, pinned, method, path, body, dst)
-	if !down {
-		return lastErr
+	var lastErr error
+	if !c.reg.stale(pinned) {
+		down, err := c.postWithRetry(ctx, pinned, method, path, body, dst)
+		if !down {
+			return err
+		}
+		lastErr = err
 	}
 
-	// The pinned worker is out of budget and marked down: hedge the
-	// sub-batch across the rest of the fleet. One attempt per healthy
-	// peer — the retry budget was the pinned worker's; a peer that also
-	// fails is likely sharing its fate (network partition, bad push) and
-	// burning backoff on it only delays the client's error.
+	// The pinned worker is stale, or out of budget and marked down:
+	// hedge the sub-batch across the rest of the fleet. One attempt per
+	// routable peer — the retry budget was the pinned worker's; a peer
+	// that also fails is likely sharing its fate (network partition, bad
+	// push) and burning backoff on it only delays the client's error.
 	n := len(c.workers)
 	for off := 1; off < n; off++ {
 		j := (pinned + off) % n
-		if !c.reg.alive(j) {
+		if !c.reg.routable(j) {
 			continue
 		}
 		c.metrics.redispatches.Add(1)
@@ -115,6 +120,9 @@ func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []
 		c.reg.markDead(j, err)
 		c.metrics.workerFailures.Add(1)
 		lastErr = err
+	}
+	if lastErr == nil {
+		return fmt.Errorf("no routable worker for %s sub-batch pinned to worker %d: every live worker serves a rules generation other than the activated one", path, pinned)
 	}
 	return fmt.Errorf("all workers failed for %s sub-batch pinned to worker %d: %w", path, pinned, lastErr)
 }

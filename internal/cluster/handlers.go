@@ -286,17 +286,22 @@ func (c *Coordinator) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	version := int64(0)
+	etags, versions := make([]string, len(activated)), make([]int64, len(activated))
 	for i, raw := range activated {
 		var ar serve.RulesAck
 		if err := json.Unmarshal(raw, &ar); err != nil {
 			serve.HTTPError(w, http.StatusBadGateway, "decoding worker %d activate response: %v", i, err)
 			return
 		}
-		c.reg.markAlive(i, ar.ETag, ar.Version)
+		etags[i], versions[i] = ar.ETag, ar.Version
 		if ar.Version > version {
 			version = ar.Version
 		}
 	}
+	// Every worker now serves etag: from here on, one that reports
+	// another generation (restarted from its startup rules, say) gets no
+	// sub-batch until it reports this one.
+	c.reg.pushed(etags, versions)
 	c.generation.Add(1)
 	c.metrics.rulePushes.Add(1)
 	serve.WriteJSON(w, http.StatusOK, serve.RulesAck{Version: version, Count: count, ETag: etag})
@@ -342,22 +347,24 @@ func (c *Coordinator) handleDataPatch(w http.ResponseWriter, r *http.Request) {
 		c.relayPushError(w, "patching data", err)
 		return
 	}
-	var first serve.DataPatchResponse
+	prs := make([]serve.DataPatchResponse, len(raws))
+	etags, versions := make([]string, len(raws)), make([]int64, len(raws))
 	for i, raw := range raws {
-		var pr serve.DataPatchResponse
-		if err := json.Unmarshal(raw, &pr); err != nil {
+		if err := json.Unmarshal(raw, &prs[i]); err != nil {
 			serve.HTTPError(w, http.StatusBadGateway, "decoding worker %d patch response: %v", i, err)
 			return
 		}
-		c.reg.markAlive(i, pr.RulesETag, pr.RulesVersion)
-		if i == 0 {
-			first = pr
-			continue
-		}
+		etags[i], versions[i] = prs[i].RulesETag, prs[i].RulesVersion
+	}
+	// Re-validation may have dropped rules and moved every worker to a
+	// new generation: when they agree on it, it is the activated one.
+	c.reg.pushed(etags, versions)
+	first := prs[0]
+	for i, pr := range prs[1:] {
 		if pr.DataVersion != first.DataVersion || pr.RulesETag != first.RulesETag {
 			serve.HTTPError(w, http.StatusBadGateway,
 				"workers diverged after the data patch (worker %d: data_version %d, rules_etag %s; worker 0: data_version %d, rules_etag %s)",
-				i, pr.DataVersion, pr.RulesETag, first.DataVersion, first.RulesETag)
+				i+1, pr.DataVersion, pr.RulesETag, first.DataVersion, first.RulesETag)
 			return
 		}
 	}
@@ -403,12 +410,12 @@ func (c *Coordinator) relayPushError(w http.ResponseWriter, phase string, err er
 	serve.HTTPError(w, http.StatusBadGateway, "%s: %v", phase, err)
 }
 
-// handleRulesGet proxies the active rule set from the first healthy
+// handleRulesGet proxies the active rule set from the first routable
 // worker, preserving the generation headers so clients (and operators
 // debugging skew) see exactly what that worker serves.
 func (c *Coordinator) handleRulesGet(w http.ResponseWriter, r *http.Request) {
 	for i := range c.workers {
-		if !c.reg.alive(i) {
+		if !c.reg.routable(i) {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.perWorkerTimeout())
@@ -441,17 +448,16 @@ func (c *Coordinator) handleRulesGet(w http.ResponseWriter, r *http.Request) {
 		w.Write(body)
 		return
 	}
-	serve.HTTPError(w, http.StatusBadGateway, "no healthy worker to serve the rule set")
+	serve.HTTPError(w, http.StatusBadGateway, "no routable worker to serve the rule set")
 }
 
+// handleHealthz reports the fleet: each worker's liveness and rules
+// generation, and the generation the last fleet-wide push activated.
+// Healthy workers are the routable ones; a stale worker's last_error
+// names both etags.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	workers := c.reg.snapshot()
-	healthy := 0
-	for _, s := range workers {
-		if s.Alive {
-			healthy++
-		}
-	}
+	workers, active := c.reg.snapshot()
+	healthy := c.reg.healthyCount()
 	skew := c.reg.generationSkew()
 	status, code := "ok", http.StatusOK
 	switch {
@@ -469,6 +475,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"workers_total":   len(workers),
 		"workers_healthy": healthy,
 		"generation_skew": skew,
+		"rules_etag":      active,
 		"rule_pushes":     c.generation.Load(),
 		"uptime_seconds":  int64(time.Since(c.metrics.start).Seconds()),
 	})

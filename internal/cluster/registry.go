@@ -22,11 +22,17 @@ type WorkerStatus struct {
 }
 
 // registry tracks per-worker liveness and rule-generation identity. It
-// is written by the health checker and by dispatch failures, read by
-// the fanout path (to pick hedge targets) and by /healthz and /metrics.
+// is written by the health checker, by fleet-wide pushes and by
+// dispatch failures, read by the fanout path (to pick the workers a
+// sub-batch may go to) and by /healthz and /metrics.
 type registry struct {
 	mu     sync.Mutex
 	states []WorkerStatus // guarded by mu
+	// active is the rules etag of the generation the last fleet-wide
+	// push (PUT /v1/rules, or PATCH /v1/data) left on every worker, ""
+	// until one has. Once it is set, a worker that reports another etag
+	// is stale: alive, but routed around until it reports this one.
+	active string // guarded by mu
 }
 
 // newRegistry starts every worker optimistically alive so the first
@@ -40,18 +46,44 @@ func newRegistry(workers []string) *registry {
 	return &registry{states: states}
 }
 
-func (r *registry) snapshot() []WorkerStatus {
+// snapshot returns every worker's status and the activated rules etag.
+// A stale worker's last error names both etags.
+func (r *registry) snapshot() ([]WorkerStatus, string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]WorkerStatus, len(r.states))
 	copy(out, r.states)
-	return out
+	for i := range out {
+		if s := &out[i]; s.Alive && !current(*s, r.active) {
+			s.LastError = fmt.Sprintf("serving rules generation %s, not the activated %s", s.RulesETag, r.active)
+		}
+	}
+	return out, r.active
 }
 
 func (r *registry) markAlive(i int, etag string, version int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.states[i] = WorkerStatus{URL: r.states[i].URL, Alive: true, RulesETag: etag, RulesVersion: version}
+}
+
+// pushed records every worker's answer to a fleet-wide push: worker i
+// is alive on rules generation etags[i] at versions[i]. When they all
+// name one generation, it becomes the activated one; when they do not,
+// the activated generation stays, and so do the sub-batches on the
+// workers that report it.
+func (r *registry) pushed(etags []string, versions []int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, etag := range etags {
+		r.states[i] = WorkerStatus{URL: r.states[i].URL, Alive: true, RulesETag: etag, RulesVersion: versions[i]}
+	}
+	for _, etag := range etags {
+		if etag != etags[0] {
+			return
+		}
+	}
+	r.active = etags[0]
 }
 
 func (r *registry) markDead(i int, err error) {
@@ -63,18 +95,35 @@ func (r *registry) markDead(i int, err error) {
 	}
 }
 
-func (r *registry) alive(i int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.states[i].Alive
+// current reports whether s is on the activated rules generation
+// active, which every worker is before a push has activated one.
+func current(s WorkerStatus, active string) bool {
+	return active == "" || s.RulesETag == active
 }
 
+// stale reports whether worker i reported a rules generation other than
+// the activated one.
+func (r *registry) stale(i int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return !current(r.states[i], r.active)
+}
+
+// routable reports whether worker i may receive a sub-batch: it is alive
+// and on the activated rules generation.
+func (r *registry) routable(i int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.states[i].Alive && current(r.states[i], r.active)
+}
+
+// healthyCount counts the routable workers.
 func (r *registry) healthyCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
 	for _, s := range r.states {
-		if s.Alive {
+		if s.Alive && current(s, r.active) {
 			n++
 		}
 	}
@@ -87,10 +136,11 @@ func (r *registry) healthyCount() int {
 // other rules. Dead workers are excluded, so an outage alone does not
 // hold the skew alarm up. Nothing restages a worker when it recovers:
 // one restarted from its startup -rules file is marked alive on that
-// old generation, dispatch still sends it the sub-batches pinned to it
-// (a batch that lands only there is answered under the old rules, one
-// that also lands on a current worker fails the merge with 502), and
-// the skew stays above 1 until the next push.
+// old generation, and the skew stays above 1 until the next push moves
+// it. Once a push has activated a generation, such a worker is stale
+// and gets no sub-batch (dispatch sends its share to the next routable
+// worker); before the first push, a batch that lands on two generations
+// fails the merge with 502.
 func (r *registry) generationSkew() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

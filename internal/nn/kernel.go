@@ -2,27 +2,42 @@ package nn
 
 import "math"
 
-// The two inner loops of a training step run as kernels: on amd64 in
-// SSE2 assembly (kernel_amd64.s), elsewhere as the Go loops below,
-// which are also the tests' reference. A kernel performs the same
-// operations as its Go loop, in the same order, each rounded once, so
-// the two agree bit for bit, up to which payload a NaN result carries.
-// The assembly checks no bounds: these wrappers reslice every operand
-// to the length of the output first.
+// The two inner loops of a training step run as kernels: a product
+// row's update and Adam's element update. On amd64 CPUs with AVX they
+// are the assembly in kernel_amd64.s; everywhere else the Go loops
+// below run, which are also the tests' reference. A kernel performs the
+// same operations as its Go loop, in the same order, each rounded once,
+// so the two agree bit for bit, up to which payload a NaN result
+// carries. The assembly checks no bounds: adamUpdate reslices every
+// operand to w's length, and product, the row kernel's one caller,
+// reslices b so that every offset it lists fits.
 
-// mulAdd4 sets o[j] = o[j] + c0·x0[j] + c1·x1[j] + c2·x2[j] + c3·x3[j]
-// for every j < len(o), evaluated left to right. Each x must be at
-// least as long as o.
-func mulAdd4(o, x0, x1, x2, x3 []float64, c0, c1, c2, c3 float64) {
-	n := len(o)
-	mulAdd4Kernel(o, x0[:n], x1[:n], x2[:n], x3[:n], c0, c1, c2, c3)
+// avx reports whether the AVX kernels run. It is set once, when the
+// package is initialised, from what the CPU and the operating system
+// support (kernel_amd64.go), and only tests change it afterwards.
+var avx = haveAVX()
+
+// mulAddRow adds to every o[j], j < len(o), the terms cs[t]·b[offs[t]+j]
+// for t = 0, 1, …, len(cs)−1 in that order, rounding after each product
+// and each addition. offs must be at least as long as cs, and
+// offs[t]+len(o) at most len(b) for every t < len(cs): the assembly
+// reads b unchecked.
+func mulAddRow(o, b, cs []float64, offs []int) {
+	offs = offs[:len(cs)]
+	if avx {
+		mulAddRowAVX(o, b, cs, offs)
+		return
+	}
+	mulAddRowGo(o, b, cs, offs)
 }
 
-// mulAdd4Go is mulAdd4's loop in Go.
-func mulAdd4Go(o, x0, x1, x2, x3 []float64, c0, c1, c2, c3 float64) {
-	x0, x1, x2, x3 = x0[:len(o)], x1[:len(o)], x2[:len(o)], x3[:len(o)]
-	for j := range o {
-		o[j] = o[j] + c0*x0[j] + c1*x1[j] + c2*x2[j] + c3*x3[j]
+// mulAddRowGo is mulAddRow's loop in Go.
+func mulAddRowGo(o, b, cs []float64, offs []int) {
+	for t, c := range cs {
+		x := b[offs[t]:][:len(o)]
+		for j := range o {
+			o[j] = o[j] + c*x[j]
+		}
 	}
 }
 
@@ -33,10 +48,17 @@ func mulAdd4Go(o, x0, x1, x2, x3 []float64, c0, c1, c2, c3 float64) {
 // long as w.
 func adamUpdate(w, m, v, g []float64, b1, b2, c1, c2, lr, eps float64) {
 	n := len(w)
-	adamKernel(w, m[:n], v[:n], g[:n], b1, b2, c1, c2, lr, eps)
+	m, v, g = m[:n], v[:n], g[:n]
+	if avx {
+		adamAVX(w, m, v, g, b1, b2, c1, c2, lr, eps)
+		return
+	}
+	adamGo(w, m, v, g, b1, b2, c1, c2, lr, eps)
 }
 
-// adamGo is adamUpdate's loop in Go.
+// adamGo is adamUpdate's loop in Go. The AVX kernel leaves out the
+// division by c1 when c1 is exactly 1, from the 356th step of the
+// default β1 = 0.9 on, because x/1 is x.
 func adamGo(w, m, v, g []float64, b1, b2, c1, c2, lr, eps float64) {
 	m, v, g = m[:len(w)], v[:len(w)], g[:len(w)]
 	for i, gi := range g {

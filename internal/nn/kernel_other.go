@@ -2,10 +2,13 @@
 
 package nn
 
-func mulAdd4Kernel(o, x0, x1, x2, x3 []float64, c0, c1, c2, c3 float64) {
-	mulAdd4Go(o, x0, x1, x2, x3, c0, c1, c2, c3)
-}
+// Only amd64 has assembly kernels: elsewhere avx stays false, and these
+// stand-ins for the assembly, which nothing then calls, run the Go loops.
 
-func adamKernel(w, m, v, g []float64, b1, b2, c1, c2, lr, eps float64) {
+func haveAVX() bool { return false }
+
+func mulAddRowAVX(o, b, cs []float64, offs []int) { mulAddRowGo(o, b, cs, offs) }
+
+func adamAVX(w, m, v, g []float64, b1, b2, c1, c2, lr, eps float64) {
 	adamGo(w, m, v, g, b1, b2, c1, c2, lr, eps)
 }

@@ -18,8 +18,8 @@ type Dense struct {
 	W, B *Param
 	x    *Matrix // input of the last forward pass, kept for the backward one
 
-	// Workspaces: the output, the input gradient, and the transposed
-	// operand of a gradient product.
+	// Workspaces: the output, the input gradient, and Wᵀ for the input
+	// gradient's product.
 	out, dx, t *Matrix
 }
 
@@ -64,8 +64,7 @@ func (d *Dense) Backward(gradOut *Matrix) *Matrix {
 // gradients is Backward without the input gradient: dW = xᵀ·gradOut
 // and db = the column sums of gradOut.
 func (d *Dense) gradients(gradOut *Matrix) {
-	d.t = resize(d.t, d.x.Cols, d.x.Rows)
-	MatMulATB(d.W.Grad, d.x, gradOut, d.t)
+	MatMulATB(d.W.Grad, d.x, gradOut)
 	gb := d.B.Grad.Data[:gradOut.Cols]
 	clear(gb)
 	for r := 0; r < gradOut.Rows; r++ {

@@ -10,8 +10,8 @@
 // loss gradient as one value per row and writes, rather than adds to,
 // every parameter gradient. The output layer's products then shrink to
 // a dot product and a scatter per row (DESIGN.md decision 26). The two
-// inner loops left, MatMul's four-term update and Adam's element
-// update, run as SSE2 kernels on amd64 (kernel.go).
+// inner loops left, a product row's update and Adam's element update,
+// run as AVX kernels on amd64 CPUs that have AVX (kernel.go).
 //
 // The products write into per-layer workspaces that grow to the largest
 // batch a network has seen and are reused afterwards, so a steady-state
@@ -86,49 +86,73 @@ func shapePanic(op string, out, a, b *Matrix) {
 // MatMul computes out = a·b, overwriting out, which must be
 // a.Rows×b.Cols. Each element sums its terms in ascending k from +0 and
 // skips the zero entries of a — one-hot states, ReLU zeros — which
-// leaves every bit unchanged
-// (DESIGN.md decision 22). The non-zero terms of a row are applied four
-// at a time by mulAdd4, so an output element is loaded and stored once
-// per four terms; it still rounds after each addition, in order.
+// leaves every bit unchanged (DESIGN.md decision 22).
 func MatMul(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		shapePanic("MatMul", out, a, b)
 	}
+	product(out, a.Data[:a.Rows*a.Cols], b, a.Cols, 1)
+}
+
+// MatMulATB computes out = aᵀ·b, overwriting out, which must be
+// a.Cols×b.Cols. It reads a's columns in place, as MatMul reads a's
+// rows.
+func MatMulATB(out, a, b *Matrix) {
+	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
+		shapePanic("MatMulATB", out, a, b)
+	}
+	product(out, a.Data[:a.Rows*a.Cols], b, 1, a.Cols)
+}
+
+// rowTerms is how many entries of a row of A product scans before it
+// hands their non-zero terms to the row kernel. A row longer than that
+// takes several calls, which add the same terms in the same order: the
+// kernel resumes from the row's stored partial sums.
+const rowTerms = 64
+
+// product sets out = A·b for the out.Rows×b.Rows matrix A whose element
+// (i, k) is a[i·rs + k·ks]. It clears each output row, lists the row's
+// non-zero terms with their offsets into b, and hands the list to the
+// row kernel, so every element sums its non-zero terms in ascending k
+// from +0.
+func product(out *Matrix, a []float64, b *Matrix, rs, ks int) {
 	n := b.Cols
-	var c [4]float64
-	var ks [4]int
-	for i := 0; i < a.Rows; i++ {
-		orow := out.Data[i*n : (i+1)*n]
-		clear(orow)
-		nk := 0
-		for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
-			// Every entry is written to the next slot, but only a
-			// non-zero one claims it: a conditional move, where a branch
-			// would mispredict on the ReLU zero pattern.
-			c[nk&3], ks[nk&3] = av, k
-			if av != 0 {
-				nk++
-			}
-			if nk == 4 {
-				mulAdd4(orow, b.Data[ks[0]*n:], b.Data[ks[1]*n:], b.Data[ks[2]*n:], b.Data[ks[3]*n:],
-					c[0], c[1], c[2], c[3])
-				nk = 0
-			}
-		}
-		for t := 0; t < nk; t++ {
-			ct, x := c[t], b.Data[ks[t]*n:][:n]
-			for j := range orow {
-				orow[j] += ct * x[j]
-			}
+	bd := b.Data[:b.Rows*n] // the row kernel reads b unchecked
+	var cs [rowTerms]float64
+	var offs [rowTerms]int
+	for i := 0; i < out.Rows; i++ {
+		o := out.Data[i*n : (i+1)*n]
+		clear(o)
+		for k := 0; k < b.Rows; k += rowTerms {
+			nk := nonZeros(&cs, &offs, a, i*rs+k*ks, ks, k*n, n, min(rowTerms, b.Rows-k))
+			mulAddRow(o, bd, cs[:nk], offs[:nk])
 		}
 	}
 }
 
-// MatMulATB computes out = aᵀ·b, overwriting out, which must be
-// a.Cols×b.Cols, and at, which must be a.Cols×a.Rows, with aᵀ.
-func MatMulATB(out, a, b, at *Matrix) {
-	transpose(at, a)
-	MatMul(out, at, b)
+// nonZeros lists in cs and offs the non-zero entries among the m ≤
+// rowTerms entries a[p], a[p+ks], …, each with its offset into b, which
+// starts at off and grows by n an entry, and returns how many it
+// listed. It is a function of its own so that its few variables stay in
+// registers.
+//
+//go:noinline
+func nonZeros(cs *[rowTerms]float64, offs *[rowTerms]int, a []float64, p, ks, off, n, m int) int {
+	nk := 0
+	for ; m > 0; m-- {
+		av := a[p]
+		// Every entry is written to the next slot, but only a non-zero
+		// one claims it: a conditional move, where a branch would
+		// mispredict on the ReLU zero pattern.
+		t := nk & (rowTerms - 1)
+		cs[t], offs[t] = av, off
+		if av != 0 {
+			nk++
+		}
+		p += ks
+		off += n
+	}
+	return nk
 }
 
 // MatMulABT computes out = a·bᵀ, overwriting out, which must be

@@ -145,23 +145,48 @@ func (m *MLP) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadMLP deserialises a network saved with Save.
+// LoadMLP deserialises a network saved with Save. A snapshot that does
+// not describe a network, or whose tensors do not fit the layer sizes
+// it names, is an error, found before anything is allocated for it.
 func LoadMLP(r io.Reader) (*MLP, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: loading MLP: %w", err)
 	}
-	m := NewMLP(rand.New(rand.NewSource(0)), s.Sizes...)
-	params := m.Params()
-	if len(params) != len(s.Values) {
-		return nil, fmt.Errorf("nn: snapshot has %d tensors, architecture needs %d",
-			len(s.Values), len(params))
+	if err := s.check(); err != nil {
+		return nil, fmt.Errorf("nn: loading MLP: %w", err)
 	}
-	for i, p := range params {
-		if len(p.Value.Data) != len(s.Values[i]) {
-			return nil, fmt.Errorf("nn: tensor %d size mismatch", i)
-		}
+	m := NewMLP(rand.New(rand.NewSource(0)), s.Sizes...)
+	for i, p := range m.Params() {
 		copy(p.Value.Data, s.Values[i])
 	}
 	return m, nil
+}
+
+// check reports whether s names at least two layer sizes, each at least
+// 1, and holds for every layer, in Params order, a weight tensor of
+// in·out values and a bias of out values. It divides rather than
+// multiplies, so no product of sizes can overflow.
+func (s *snapshot) check() error {
+	if len(s.Sizes) < 2 {
+		return fmt.Errorf("snapshot has %d layer sizes, want at least 2", len(s.Sizes))
+	}
+	for i, n := range s.Sizes {
+		if n < 1 {
+			return fmt.Errorf("snapshot layer %d has size %d", i, n)
+		}
+	}
+	if want := 2 * (len(s.Sizes) - 1); len(s.Values) != want {
+		return fmt.Errorf("snapshot has %d tensors, architecture needs %d", len(s.Values), want)
+	}
+	for l, in := range s.Sizes[:len(s.Sizes)-1] {
+		out := s.Sizes[l+1]
+		if w := len(s.Values[2*l]); w%out != 0 || w/out != in {
+			return fmt.Errorf("snapshot tensor %d has %d values, not %d×%d", 2*l, w, in, out)
+		}
+		if b := len(s.Values[2*l+1]); b != out {
+			return fmt.Errorf("snapshot tensor %d has %d values, want %d", 2*l+1, b, out)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,10 +120,15 @@ func naiveTranspose(a *Matrix) *Matrix {
 	return out
 }
 
-// TestMatMulKernels requires every kernel to equal the naive triple loop
-// bit for bit — not within a tolerance — on random shapes and on every
-// operand kind the network produces: skipping zero terms is exact only
-// because each sum runs in ascending k from +0.
+// TestMatMulKernels requires every product to equal the naive triple
+// loop bit for bit — not within a tolerance — on random shapes and on
+// every operand kind the network produces: skipping zero terms is exact
+// only because each sum runs in ascending k from +0. Dense rows of up to
+// 70 terms take the row kernel more than one call. It then drives the
+// row kernel through MatMul and through MatMulATB's strided column
+// reads on every output length from 0 to 67, with 0 to 9 non-zero terms
+// a row and ±0, subnormals, ±Inf and NaN among the operands, against
+// the naive loop that skips a's zeros.
 func TestMatMulKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -136,7 +142,7 @@ func TestMatMulKernels(t *testing.T) {
 		}
 		c := operand(rng, kb, m, n)
 		out = poisoned(k, n)
-		MatMulATB(out, a, c, poisoned(k, m))
+		MatMulATB(out, a, c)
 		if !bitsEq(out, naiveMul(naiveTranspose(a), c)) {
 			t.Fatalf("MatMulATB (%dx%d)ᵀ·%dx%d (kinds %d, %d) differs", m, k, m, n, ka, kb)
 		}
@@ -146,6 +152,16 @@ func TestMatMulKernels(t *testing.T) {
 		if !bitsEq(out, naiveMul(a, naiveTranspose(d))) {
 			t.Fatalf("MatMulABT %dx%d·(%dx%d)ᵀ (kinds %d, %d) differs", m, k, n, k, ka, kb)
 		}
+	}
+	for n := 0; n <= 67; n++ {
+		depth := 9 + rng.Intn(4)
+		a := NewMatrix(3, depth)
+		for i := 0; i < a.Rows; i++ {
+			for _, k := range rng.Perm(depth)[:(n+i)%10] {
+				a.Set(i, k, kernelValue(rng))
+			}
+		}
+		checkProducts(t, a, &Matrix{Rows: depth, Cols: n, Data: kernelSlice(rng, depth*n)})
 	}
 }
 
@@ -399,9 +415,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadMLPGarbage requires every snapshot that is not a network to
+// load as an error: undecodable bytes, too few or non-positive layer
+// sizes (which used to panic in NewMLP or make), and tensors whose
+// count or lengths do not fit the sizes, including a weight tensor
+// whose true length in·out overflows to the length given.
 func TestLoadMLPGarbage(t *testing.T) {
 	if _, err := LoadMLP(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage decoded")
+	}
+	vals := func(ns ...int) [][]float64 {
+		out := make([][]float64, len(ns))
+		for i, n := range ns {
+			out[i] = make([]float64, n)
+		}
+		return out
+	}
+	for _, s := range []snapshot{
+		{Sizes: nil},
+		{Sizes: []int{1}, Values: vals(1)},
+		{Sizes: []int{3, -2, 4}, Values: vals(0, 0, 0, 4)},
+		{Sizes: []int{0, 3}, Values: vals(0, 3)},
+		{Sizes: []int{2, 3}, Values: vals(6)},
+		{Sizes: []int{2, 3}, Values: vals(6, 3, 1)},
+		{Sizes: []int{2, 3}, Values: vals(5, 3)},
+		{Sizes: []int{2, 3}, Values: vals(6, 2)},
+		{Sizes: []int{1 << 62, 4}, Values: vals(0, 4)},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("LoadMLP of sizes %v, %d tensors panicked: %v", s.Sizes, len(s.Values), r)
+				}
+			}()
+			if _, err := LoadMLP(&buf); err == nil {
+				t.Errorf("LoadMLP accepted sizes %v with %d tensors", s.Sizes, len(s.Values))
+			}
+		}()
 	}
 }
 

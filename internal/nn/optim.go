@@ -77,7 +77,12 @@ func (a *Adam) State(params []*Param) AdamState {
 
 // SetState restores moment state captured with State onto params, which
 // must be the same tensors in the same order (same count and lengths).
+// A negative step count is an error: the next step's bias correction
+// would be zero.
 func (a *Adam) SetState(params []*Param, st AdamState) error {
+	if st.T < 0 {
+		return fmt.Errorf("nn: Adam state has step count %d", st.T)
+	}
 	if len(st.M) != len(params) || len(st.V) != len(params) {
 		return fmt.Errorf("nn: Adam state has %d/%d moment vectors, want %d",
 			len(st.M), len(st.V), len(params))

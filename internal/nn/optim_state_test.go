@@ -94,6 +94,11 @@ func TestAdamSetStateRejectsMismatch(t *testing.T) {
 	if err := NewAdam(1e-3).SetState(net.Params(), st); err == nil {
 		t.Error("mismatched moment length accepted")
 	}
+	st = opt.State(net.Params())
+	st.T = -1
+	if err := NewAdam(1e-3).SetState(net.Params(), st); err == nil {
+		t.Error("negative step count accepted")
+	}
 }
 
 func TestHuberLossMatchesGrad(t *testing.T) {

@@ -23,10 +23,12 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go vet, GOARCH=arm64: the non-amd64 kernels"
-# internal/nn's training kernels are SSE2 assembly on amd64 and the Go
-# reference loops elsewhere; vet the packages for arm64 too, so the Go
-# path keeps compiling although this host never builds it.
+echo "== go vet, GOARCH=arm64: the Go-loop kernels"
+# internal/nn's training kernels are AVX assembly on amd64 CPUs with
+# AVX and the Go reference loops everywhere else, amd64 CPUs without AVX
+# included. Vet the packages for arm64 too, so the build without any
+# assembly (kernel_other.go) keeps compiling although this host never
+# makes it.
 GOARCH=arm64 go vet ./internal/nn ./internal/rl
 
 echo "== ermvet -checks all ./..."
