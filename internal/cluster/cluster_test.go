@@ -557,6 +557,143 @@ func TestGenerationSkewDetection(t *testing.T) {
 	}
 }
 
+// swappableWorker is a worker daemon whose handler a test can swap: a
+// fresh server stands in for the daemon restarted on the same address.
+type swappableWorker struct {
+	url string
+	h   atomic.Value // handlerBox
+}
+
+// handlerBox gives every handler stored in a swappableWorker one
+// concrete type, as atomic.Value requires.
+type handlerBox struct{ http.Handler }
+
+func newSwappableWorker(t *testing.T) *swappableWorker {
+	t.Helper()
+	sw := &swappableWorker{}
+	_, ts := newWorker(t, func(inner http.Handler) http.Handler {
+		sw.h.Store(handlerBox{inner})
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			sw.h.Load().(handlerBox).ServeHTTP(w, r)
+		})
+	})
+	sw.url = ts.URL
+	return sw
+}
+
+// restart replaces the worker by a fresh daemon on its startup rules.
+func (sw *swappableWorker) restart(t *testing.T) {
+	sw.h.Store(handlerBox{newSingle(t, serve.Config{Role: "worker"})})
+}
+
+// kill makes the worker drop every connection unanswered until revive
+// is called.
+func (sw *swappableWorker) kill() (revive func()) {
+	live := sw.h.Load()
+	sw.h.Store(handlerBox{http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic(http.ErrAbortHandler)
+	})})
+	return func() { sw.h.Store(live) }
+}
+
+// newSingle boots a daemon on the startup rules and activates each
+// rules file of pushes in turn, so its rules_version counts the same
+// pushes a fleet saw.
+func newSingle(t *testing.T, cfg serve.Config, pushes ...[]byte) *serve.Server {
+	t.Helper()
+	s, err := serve.New(clusterProblem(t), []core.MinedRule{districtRule()}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		done := make(chan struct{})
+		time.AfterFunc(10*time.Second, func() { close(done) })
+		//ermvet:ignore errdrop test cleanup; Shutdown errors surface through the failing test itself
+		s.Shutdown(done)
+	})
+	for _, data := range pushes {
+		if _, _, err := s.SwapRules(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+func exportRules(t *testing.T, rules ...core.MinedRule) []byte {
+	t.Helper()
+	data, err := rulesio.Export(clusterProblem(t), rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func pushRules(t *testing.T, c *Coordinator, data []byte) serve.RulesAck {
+	t.Helper()
+	w := do(c, "PUT", serve.PathRules, string(data))
+	if w.Code != http.StatusOK {
+		t.Fatalf("PUT /v1/rules: %d: %s", w.Code, w.Body.String())
+	}
+	var ack serve.RulesAck
+	decode(t, w, &ack)
+	return ack
+}
+
+// fleetHealth is the part of a coordinator's /healthz the generation
+// tests read.
+type fleetHealth struct {
+	Status         string         `json:"status"`
+	WorkersHealthy int            `json:"workers_healthy"`
+	RulesETag      string         `json:"rules_etag"`
+	Workers        []WorkerStatus `json:"workers"`
+}
+
+func coordinatorHealth(t *testing.T, c *Coordinator) fleetHealth {
+	t.Helper()
+	var h fleetHealth
+	decode(t, do(c, "GET", serve.PathHealthz, ""), &h)
+	return h
+}
+
+// oneTupleBatch is a repair batch of one fixture tuple that a two-worker
+// fleet pins to shard.
+func oneTupleBatch(t *testing.T, shard int) string {
+	t.Helper()
+	for _, tu := range []map[string]string{
+		{"district": "hz", "area": "010", "postcode": "99999"},
+		{"district": "bd", "area": "020"},
+		{"district": "cz", "area": "030", "postcode": "52000"},
+		{"district": "hz", "area": "020", "postcode": ""},
+		{"district": "bd", "area": "010", "postcode": "45000"},
+		{"district": "cz", "area": "010", "postcode": "11111"},
+	} {
+		if shardOf(tu, 2) == shard {
+			b, err := json.Marshal(serve.TupleBatch{Tuples: []map[string]string{tu}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
+		}
+	}
+	t.Fatalf("no fixture tuple falls on shard %d", shard)
+	return ""
+}
+
+// checkShard requires c to answer shard's one-tuple batch with 200 and
+// single's bytes, and returns the answer's rules_version.
+func checkShard(t *testing.T, c, single http.Handler, when string, shard int) int64 {
+	t.Helper()
+	body := oneTupleBatch(t, shard)
+	want := do(single, "POST", serve.PathRepair, body)
+	got := do(c, "POST", serve.PathRepair, body)
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("%s, shard %d: coordinator answered %d %s\nsingle node: %s", when, shard, got.Code, got.Body.String(), want.Body.String())
+	}
+	var rr serve.RepairResponse
+	decode(t, got, &rr)
+	return rr.RulesVersion
+}
+
 // TestRestartedWorkerRoutedAround pushes a generation through the
 // coordinator, restarts worker 1 from its startup rules, and runs one
 // health round: the restarted worker is alive but stale, so a
@@ -564,118 +701,98 @@ func TestGenerationSkewDetection(t *testing.T) {
 // under the pushed generation, with a single node's bytes, and /healthz
 // must name both etags. The next push makes worker 1 routable again.
 func TestRestartedWorkerRoutedAround(t *testing.T) {
-	startup := []core.MinedRule{districtRule()}
-	_, ts0 := newWorker(t, nil)
-	var worker1 atomic.Value // the *serve.Server behind worker 1's listener
-	_, ts1 := newWorker(t, func(inner http.Handler) http.Handler {
-		worker1.Store(inner)
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			worker1.Load().(http.Handler).ServeHTTP(w, r)
-		})
-	})
-	c := newCoordinator(t, Config{Workers: []string{ts0.URL, ts1.URL}, Retries: -1, RetryBackoff: 2 * time.Millisecond})
-	shutdown := func(s *serve.Server) {
-		done := make(chan struct{})
-		time.AfterFunc(10*time.Second, func() { close(done) })
-		//ermvet:ignore errdrop test cleanup; Shutdown errors surface through the failing test itself
-		s.Shutdown(done)
-	}
+	w0, w1 := newSwappableWorker(t), newSwappableWorker(t)
+	c := newCoordinator(t, Config{Workers: []string{w0.url, w1.url}, Retries: -1, RetryBackoff: 2 * time.Millisecond})
+	data := exportRules(t, districtRule(), districtAreaRule())
+	put := pushRules(t, c, data)
 
-	data, err := rulesio.Export(clusterProblem(t), []core.MinedRule{districtRule(), districtAreaRule()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var put serve.RulesAck
-	w := do(c, "PUT", serve.PathRules, string(data))
-	if w.Code != http.StatusOK {
-		t.Fatalf("PUT /v1/rules: %d: %s", w.Code, w.Body.String())
-	}
-	decode(t, w, &put)
-
-	fresh, err := serve.New(clusterProblem(t), startup, serve.Config{Role: "worker"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(fresh)
-	worker1.Store(fresh)
+	w1.restart(t)
 	c.checkAll()
-
-	var health struct {
-		Status         string         `json:"status"`
-		WorkersHealthy int            `json:"workers_healthy"`
-		RulesETag      string         `json:"rules_etag"`
-		Workers        []WorkerStatus `json:"workers"`
-	}
-	decode(t, do(c, "GET", serve.PathHealthz, ""), &health)
-	w1 := health.Workers[1]
+	health := coordinatorHealth(t, c)
+	s1 := health.Workers[1]
 	if health.Status != "degraded" || health.WorkersHealthy != 1 || health.RulesETag != put.ETag ||
-		!w1.Alive || w1.RulesETag == put.ETag || !strings.Contains(w1.LastError, w1.RulesETag) || !strings.Contains(w1.LastError, put.ETag) {
+		!s1.Alive || s1.RulesETag == put.ETag || !strings.Contains(s1.LastError, s1.RulesETag) || !strings.Contains(s1.LastError, put.ETag) {
 		t.Errorf("healthz after the restart = %+v, want degraded with 1 healthy, rules_etag %s and worker 1 alive with a last error naming both etags", health, put.ETag)
 	}
 
-	single, err := serve.New(clusterProblem(t), startup, serve.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(single)
-	if _, _, err := single.SwapRules(data); err != nil {
-		t.Fatal(err)
-	}
-	tuples := []map[string]string{
-		{"district": "hz", "area": "010", "postcode": "99999"},
-		{"district": "bd", "area": "020"},
-		{"district": "cz", "area": "030", "postcode": "52000"},
-		{"district": "hz", "area": "020", "postcode": ""},
-		{"district": "bd", "area": "010", "postcode": "45000"},
-		{"district": "cz", "area": "010", "postcode": "11111"},
-	}
-	batch := func(shard int) string {
-		for _, tu := range tuples {
-			if shardOf(tu, 2) == shard {
-				b, err := json.Marshal(serve.TupleBatch{Tuples: []map[string]string{tu}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(b)
-			}
-		}
-		t.Fatalf("no fixture tuple falls on shard %d", shard)
-		return ""
-	}
-	check := func(when string, shard int) {
-		t.Helper()
-		body := batch(shard)
-		want := do(single, "POST", serve.PathRepair, body)
-		got := do(c, "POST", serve.PathRepair, body)
-		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("%s, shard %d: coordinator answered %d %s\nsingle node: %s", when, shard, got.Code, got.Body.String(), want.Body.String())
-		}
-		var rr serve.RepairResponse
-		decode(t, got, &rr)
-		if rr.RulesVersion != put.Version {
-			t.Errorf("%s, shard %d: rules_version %d, want the pushed %d", when, shard, rr.RulesVersion, put.Version)
-		}
-	}
+	single := newSingle(t, serve.Config{}, data)
 	for shard := 0; shard < 2; shard++ {
-		check("worker 1 stale", shard)
+		if v := checkShard(t, c, single, "worker 1 stale", shard); v != put.Version {
+			t.Errorf("worker 1 stale, shard %d: rules_version %d, want the pushed %d", shard, v, put.Version)
+		}
 	}
 	if n := c.metrics.redispatches.Load(); n != 1 {
 		t.Errorf("redispatches = %d, want 1: the stale worker's one sub-batch goes straight to worker 0", n)
 	}
 
 	// The restarted worker's version counter now lags its peer's, so
-	// only the routing is checked here, not rules_version.
-	if w := do(c, "PUT", serve.PathRules, string(data)); w.Code != http.StatusOK {
-		t.Fatalf("second PUT /v1/rules: %d: %s", w.Code, w.Body.String())
-	}
+	// only the routing is checked here, not the bytes.
+	pushRules(t, c, data)
 	if !c.reg.routable(1) {
 		t.Fatal("worker 1 still stale after a push activated a generation on it")
 	}
-	if got := do(c, "POST", serve.PathRepair, batch(1)); got.Code != http.StatusOK {
+	if got := do(c, "POST", serve.PathRepair, oneTupleBatch(t, 1)); got.Code != http.StatusOK {
 		t.Fatalf("after the second push, shard 1 answered %d: %s", got.Code, got.Body.String())
 	}
 	if n := c.metrics.redispatches.Load(); n != 1 {
 		t.Errorf("redispatches = %d after the second push, want still 1: worker 1 serves its own shard again", n)
+	}
+}
+
+// TestFleetMovedWithoutCoordinator pushes one generation through
+// coordinator a and then another through coordinator b over the same
+// fleet. a's next health round must follow the fleet to b's generation
+// and answer like a single node on it, not route around every worker.
+// A worker then restarted on its startup rules is stale under that
+// generation; once the last live worker on it dies, the stale worker
+// serves every shard, within the same request, until that worker is
+// back.
+func TestFleetMovedWithoutCoordinator(t *testing.T) {
+	w0, w1 := newSwappableWorker(t), newSwappableWorker(t)
+	cfg := Config{Workers: []string{w0.url, w1.url}, Retries: -1, RetryBackoff: 2 * time.Millisecond}
+	a, b := newCoordinator(t, cfg), newCoordinator(t, cfg)
+	first, second := exportRules(t, districtRule(), districtAreaRule()), exportRules(t, districtAreaRule())
+	pushRules(t, a, first)
+	put := pushRules(t, b, second)
+
+	a.checkAll()
+	if h := coordinatorHealth(t, a); h.Status != "ok" || h.WorkersHealthy != 2 || h.RulesETag != put.ETag {
+		t.Errorf("a's healthz after b's push = %+v, want ok with 2 healthy and rules_etag %s", h, put.ETag)
+	}
+	single := newSingle(t, serve.Config{}, first, second)
+	for shard := 0; shard < 2; shard++ {
+		if v := checkShard(t, a, single, "after b's push", shard); v != put.Version {
+			t.Errorf("after b's push, shard %d: rules_version %d, want b's %d", shard, v, put.Version)
+		}
+	}
+
+	w1.restart(t)
+	a.checkAll()
+	if a.reg.routable(1) {
+		t.Error("worker 1 routable on its startup rules while worker 0 serves the activated generation")
+	}
+	for shard := 0; shard < 2; shard++ {
+		checkShard(t, a, single, "worker 1 restarted", shard)
+	}
+
+	// Shard 1 goes first: its stale pinned worker is skipped, worker 0
+	// fails, and the ring ends back at worker 1, now the only live one.
+	revive := w0.kill()
+	startup := newSingle(t, serve.Config{})
+	for _, shard := range []int{1, 0} {
+		checkShard(t, a, startup, "worker 0 dead", shard)
+	}
+	a.checkAll()
+	if h := coordinatorHealth(t, a); h.Status != "degraded" || h.WorkersHealthy != 1 {
+		t.Errorf("a's healthz with worker 0 dead = %+v, want degraded with 1 healthy", h)
+	}
+
+	// The round with worker 0 down adopted nothing, so worker 1 is stale
+	// again as soon as worker 0 is back on b's generation.
+	revive()
+	a.checkAll()
+	for shard := 0; shard < 2; shard++ {
+		checkShard(t, a, single, "worker 0 revived", shard)
 	}
 }
 

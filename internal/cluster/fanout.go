@@ -79,7 +79,7 @@ func retryableStatus(code int) bool {
 // exponential backoff (postWithRetry), then hedges across the remaining
 // routable workers in ring order until one answers or the request's
 // context ends. A pinned worker that is stale, on another rules
-// generation than the one a push activated, is not tried at all. It
+// generation than the activated one, is skipped while it stays so. It
 // reads the successful worker's raw response bytes into *dst, or
 // returns a *passthrough for a 4xx answer, which the caller relays. The
 // method is threaded explicitly from the handler so every hop of a
@@ -100,8 +100,11 @@ func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []
 	// routable peer — the retry budget was the pinned worker's; a peer
 	// that also fails is likely sharing its fate (network partition, bad
 	// push) and burning backoff on it only delays the client's error.
+	// The ring ends at the pinned worker itself: a stale one becomes
+	// routable when the peers that failed here were the last live ones
+	// on the activated generation.
 	n := len(c.workers)
-	for off := 1; off < n; off++ {
+	for off := 1; off <= n; off++ {
 		j := (pinned + off) % n
 		if !c.reg.routable(j) {
 			continue
@@ -122,7 +125,7 @@ func (c *Coordinator) dispatch(ctx context.Context, method, path string, body []
 		lastErr = err
 	}
 	if lastErr == nil {
-		return fmt.Errorf("no routable worker for %s sub-batch pinned to worker %d: every live worker serves a rules generation other than the activated one", path, pinned)
+		return fmt.Errorf("no routable worker for %s sub-batch pinned to worker %d", path, pinned)
 	}
 	return fmt.Errorf("all workers failed for %s sub-batch pinned to worker %d: %w", path, pinned, lastErr)
 }

@@ -452,12 +452,17 @@ func (c *Coordinator) handleRulesGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports the fleet: each worker's liveness and rules
-// generation, and the generation the last fleet-wide push activated.
-// Healthy workers are the routable ones; a stale worker's last_error
-// names both etags.
+// generation, and the activated generation sub-batches are routed by
+// ("" while none is enforced). Healthy workers are the routable ones; a
+// stale worker's last_error names both etags.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	workers, active := c.reg.snapshot()
-	healthy := c.reg.healthyCount()
+	healthy := 0
+	for _, s := range workers {
+		if s.Alive && current(s, active) {
+			healthy++
+		}
+	}
 	skew := c.reg.generationSkew()
 	status, code := "ok", http.StatusOK
 	switch {

@@ -28,10 +28,12 @@ type WorkerStatus struct {
 type registry struct {
 	mu     sync.Mutex
 	states []WorkerStatus // guarded by mu
-	// active is the rules etag of the generation the last fleet-wide
-	// push (PUT /v1/rules, or PATCH /v1/data) left on every worker, ""
-	// until one has. Once it is set, a worker that reports another etag
-	// is stale: alive, but routed around until it reports this one.
+	// active is the rules etag of the activated generation: the one a
+	// fleet-wide push (PUT /v1/rules, or PATCH /v1/data) left on every
+	// worker, or that every worker was since found alive on; "" until a
+	// push has activated one. While some live worker reports it, a
+	// worker that reports another etag is stale: alive, but routed
+	// around until it reports this one.
 	active string // guarded by mu
 }
 
@@ -46,19 +48,21 @@ func newRegistry(workers []string) *registry {
 	return &registry{states: states}
 }
 
-// snapshot returns every worker's status and the activated rules etag.
-// A stale worker's last error names both etags.
+// snapshot returns every worker's status and the rules etag sub-batches
+// are routed by (see enforced). A stale worker's last error names both
+// etags.
 func (r *registry) snapshot() ([]WorkerStatus, string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	active := enforced(r.states, r.active)
 	out := make([]WorkerStatus, len(r.states))
 	copy(out, r.states)
 	for i := range out {
-		if s := &out[i]; s.Alive && !current(*s, r.active) {
-			s.LastError = fmt.Sprintf("serving rules generation %s, not the activated %s", s.RulesETag, r.active)
+		if s := &out[i]; s.Alive && !current(*s, active) {
+			s.LastError = fmt.Sprintf("serving rules generation %s, not the activated %s", s.RulesETag, active)
 		}
 	}
-	return out, r.active
+	return out, active
 }
 
 func (r *registry) markAlive(i int, etag string, version int64) {
@@ -78,12 +82,50 @@ func (r *registry) pushed(etags []string, versions []int64) {
 	for i, etag := range etags {
 		r.states[i] = WorkerStatus{URL: r.states[i].URL, Alive: true, RulesETag: etag, RulesVersion: versions[i]}
 	}
-	for _, etag := range etags {
-		if etag != etags[0] {
-			return
+	if etag := agreed(r.states); etag != "" {
+		r.active = etag
+	}
+}
+
+// settle ends a health round. Once a push has activated a generation,
+// a fleet whose every worker is alive on one other generation (moved
+// there by a push through another coordinator, or by a rolling restart
+// on a new rules file) makes that generation the activated one. A round
+// with a worker down adopts nothing, so a lone survivor on old rules
+// does not displace the pushed generation when its peers come back.
+func (r *registry) settle() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.active == "" {
+		return
+	}
+	if etag := agreed(r.states); etag != "" {
+		r.active = etag
+	}
+}
+
+// agreed returns the rules etag every worker in states reports alive,
+// "" when one is down or they differ.
+func agreed(states []WorkerStatus) string {
+	for _, s := range states {
+		if !s.Alive || s.RulesETag != states[0].RulesETag {
+			return ""
 		}
 	}
-	r.active = etags[0]
+	return states[0].RulesETag
+}
+
+// enforced returns the rules etag sub-batches are routed by: the
+// activated one, active, while some live worker in states reports it,
+// "" before the first push or once no live worker is left on it. A
+// fleet is never routed around its only live generation.
+func enforced(states []WorkerStatus, active string) string {
+	for _, s := range states {
+		if s.Alive && s.RulesETag == active {
+			return active
+		}
+	}
+	return ""
 }
 
 func (r *registry) markDead(i int, err error) {
@@ -95,35 +137,36 @@ func (r *registry) markDead(i int, err error) {
 	}
 }
 
-// current reports whether s is on the activated rules generation
-// active, which every worker is before a push has activated one.
+// current reports whether s is on the enforced rules generation
+// active, which every worker is while none is enforced.
 func current(s WorkerStatus, active string) bool {
 	return active == "" || s.RulesETag == active
 }
 
 // stale reports whether worker i reported a rules generation other than
-// the activated one.
+// the enforced one.
 func (r *registry) stale(i int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return !current(r.states[i], r.active)
+	return !current(r.states[i], enforced(r.states, r.active))
 }
 
 // routable reports whether worker i may receive a sub-batch: it is alive
-// and on the activated rules generation.
+// and on the enforced rules generation.
 func (r *registry) routable(i int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.states[i].Alive && current(r.states[i], r.active)
+	return r.states[i].Alive && current(r.states[i], enforced(r.states, r.active))
 }
 
 // healthyCount counts the routable workers.
 func (r *registry) healthyCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	active := enforced(r.states, r.active)
 	n := 0
 	for _, s := range r.states {
-		if s.Alive && current(s, r.active) {
+		if s.Alive && current(s, active) {
 			n++
 		}
 	}
@@ -138,9 +181,10 @@ func (r *registry) healthyCount() int {
 // one restarted from its startup -rules file is marked alive on that
 // old generation, and the skew stays above 1 until the next push moves
 // it. Once a push has activated a generation, such a worker is stale
-// and gets no sub-batch (dispatch sends its share to the next routable
-// worker); before the first push, a batch that lands on two generations
-// fails the merge with 502.
+// and gets no sub-batch while a live peer reports the activated one
+// (dispatch sends its share to the next routable worker); before the
+// first push, a batch that lands on two generations fails the merge
+// with 502.
 func (r *registry) generationSkew() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -171,6 +215,7 @@ func (c *Coordinator) checkAll() {
 	for i := range c.workers {
 		c.checkWorker(i)
 	}
+	c.reg.settle()
 	c.metrics.healthChecks.Add(1)
 }
 
